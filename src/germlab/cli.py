@@ -68,6 +68,15 @@ COMMANDS = (
 
 _TOP_FIELDS = {"variables", "ordering", "ideal", "ideal2", "map", "command", "parameters"}
 _PARAM_FIELDS = {"eta_max", "mu", "l_max", "trials", "seed", "tail_degree_max", "coefficient_range"}
+# smallest admissible value per bounded parameter (seed is any integer)
+_PARAM_MINIMUM = {
+    "eta_max": 0,
+    "mu": 0,
+    "l_max": 0,
+    "trials": 0,
+    "tail_degree_max": 0,
+    "coefficient_range": 1,
+}
 _SEEDED = {"dim", "cm-certify", "flat-check", "determinacy-order", "determinacy-exp", "approx-exp"}
 _NEEDS_MAP = {"flat-check", "determinacy-order", "determinacy-exp", "approx-exp"}
 
@@ -142,6 +151,9 @@ class Job:
         for key, value in params.items():
             if not isinstance(value, int):
                 raise ParseError(f"parameter {key!r} must be an integer")
+            low = _PARAM_MINIMUM.get(key)
+            if low is not None and value < low:
+                raise ParseError(f"parameter {key!r} must be >= {low}, got {value}")
         self.params = dict(params)
 
         if self.command in _SEEDED and "seed" not in self.params:

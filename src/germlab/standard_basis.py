@@ -24,11 +24,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_add, exp_divides, exp_max, exp_sub
+from .orders import REVERSE, LocalOrder, exp_divides, exp_max, exp_sub
 from .poly import Poly, initial_exponent, initial_term
 
 
@@ -245,7 +247,7 @@ class BeckerResult:
     failure: tuple | None = None  # (i, j, remainder)
 
 
-def _becker_pair_fast(i, j, helems, denoms, order: LocalOrder, limits):
+def _becker_pair_fast(i, j, gamma, helems, contents, packing, limits):
     """Homogeneous s-pair reduction with quotient recording.
 
     Against a basis coming out of completion this always reaches zero (the
@@ -255,64 +257,49 @@ def _becker_pair_fast(i, j, helems, denoms, order: LocalOrder, limits):
     lead was stopped only by the grading variable, so nothing local can be
     concluded and the caller falls back to the unit-carrying division.
     """
-    n = order.n
-    bi, bj = helems[i], helems[j]
-    gamma = exp_max(bi.lm, bj.lm)
-    mi, mj = exp_sub(gamma, bi.lm), exp_sub(gamma, bj.lm)
-    work = {exp_add(e, mi): v * bj.lc for e, v in bi.poly.items()}
-    for e, v in bj.poly.items():
-        key = exp_add(e, mj)
-        acc = work.get(key, 0) - bi.lc * v
-        if acc:
-            work[key] = acc
-        elif key in work:
-            del work[key]
-    if order.tiebreak == REVERSE:
-        hkey = lambda e: (-e[n], e[n - 1 :: -1])
-    else:
-        hkey = lambda e: (-e[n], e[:n])
-    records = []  # (reducer index, monomial, coefficient, lam after the step)
+    n = packing.n
+    work, a, _ = _spair(helems[i], helems[j], gamma)
+    heap = list(work)
+    heapify(heap)
+    heads = [b.lead for b in helems]
+    guard = packing.guard
+    # the true s-series is scale * work / lam, where work carries the packed
+    # elements (true values divided by their content) and lam the product
+    # of the multipliers applied to it since
+    scale = contents[i] * contents[j] * (helems[j].lc // a)
+    records = []  # (reducer index, multiplier, coefficient, lam after the step)
     lam = 1
     steps = 0
-    while work:
-        lm = min(work, key=hkey)
-        t = None
-        for k, b in enumerate(helems):
-            if all(x <= y for x, y in zip(b.lm, lm)):
-                t = k
+    while heap:
+        lm = heappop(heap)
+        if lm not in work:
+            continue
+        for t, head in enumerate(heads):
+            if not (lm - head) & guard:
                 break
-        if t is None:
-            xpart = lm[:n]
-            if any(
-                all(x <= y for x, y in zip(b.lm[:n], xpart)) for b in helems
-            ):
+        else:
+            # the grading variable is the lowest field: shifting it out
+            # leaves the x-part, with weight(x) as the top field
+            bits = packing.bits
+            xpart = lm >> bits
+            xguard = guard >> bits
+            if any(not (xpart - (head >> bits)) & xguard for head in heads):
                 return "blocked", None, None
-            scale = Fraction(1, lam * denoms[i] * denoms[j])
-            witness = Poly(n, [(e[:n], v) for e, v in work.items()]).scale(scale)
-            return "witness", None, witness
-        b = helems[t]
-        c = work[lm]
-        m_exp = exp_sub(lm, b.lm)
-        lam *= b.lc
-        records.append((t, m_exp, c, lam))
-        work = {e: v * b.lc for e, v in work.items()}
-        for e, v in b.poly.items():
-            key = exp_add(e, m_exp)
-            acc = work.get(key, 0) - c * v
-            if acc:
-                work[key] = acc
-            elif key in work:
-                del work[key]
+            witness = Poly(n, [(packing.unpack(e)[:n], v) for e, v in work.items()])
+            return "witness", None, witness.scale(scale / lam)
+        m = lm - head
+        work, a, b = _submul(work, helems[t].lc, work[lm], m, helems[t].poly, heap)
+        lam *= a
+        records.append((t, m, b, lam))
         steps += 1
         if steps > limits.max_reductions:
             raise ResourceLimitError("max_reductions", limits.max_reductions)
-    # a record added when the running scalar was lam_rec was scaled by every
-    # later step, i.e. by lam/lam_rec in total
-    base = Fraction(1, lam * denoms[i] * denoms[j])
+    # each step took scale * c / lam_rec times x^m * (packed element t),
+    # that is x^m * g_t / contents[t], off the true remainder
     quotients = [Poly.zero(n) for _ in helems]
-    for t, m_exp, c, lam_rec in records:
-        coeff = c * denoms[t] * base * Fraction(lam, lam_rec)
-        quotients[t] = quotients[t] + Poly.monomial(n, m_exp[:n], coeff)
+    for t, m, c, lam_rec in records:
+        coeff = c * scale / (contents[t] * lam_rec)
+        quotients[t] = quotients[t] + Poly.monomial(n, packing.unpack(m)[:n], coeff)
     return "zero", quotients, None
 
 
@@ -328,25 +315,9 @@ def becker_check(
     the fallback.
     """
     n = order.n
-    form = order.form
-    helems = []
-    denoms = []
-    for g in basis:
-        if g.is_zero:
-            raise ZeroPolynomialError("basis elements must be nonzero")
-        d = 1
-        for _, c in g.items():
-            d = lcm(d, c.denominator)
-        top = max(form.weight(e) for e in g.exponents())
-        hpoly = {(*e, top - form.weight(e)): int(c * d) for e, c in g.items()}
-        lm = min(
-            hpoly,
-            key=(lambda e: (-e[n], e[n - 1 :: -1]))
-            if order.tiebreak == REVERSE
-            else (lambda e: (-e[n], e[:n])),
-        )
-        helems.append(_HElement(hpoly, lm, 0, None))
-        denoms.append(d)
+    if any(g.is_zero for g in basis):
+        raise ZeroPolynomialError("basis elements must be nonzero")
+    packing, helems, contents = _homogenize(basis, order)
 
     reps = []
     for i in range(len(basis)):
@@ -355,8 +326,11 @@ def becker_check(
             if s.is_zero:
                 reps.append((i, j, None))
                 continue
+            bound = packing.grade(helems[i].lead) + packing.grade(helems[j].lead)
+            packing = _fit(packing, helems, bound)
+            gamma = packing.pack(exp_max(helems[i].lm, helems[j].lm))
             status, quotients, witness = _becker_pair_fast(
-                i, j, helems, denoms, order, limits
+                i, j, gamma, helems, contents, packing, limits
             )
             if status == "zero":
                 reps.append(
@@ -437,19 +411,49 @@ class IdealPresentation:
             return result
 
 
-def _homogenize_int(f: Poly, form):
-    """Weighted homogenization as an integer-primitive dict.
+class _Packing:
+    """Monomials of the homogenized ring (x_1..x_n, t) packed into one int.
 
-    Pads each term with a grading variable so every term reaches the top
-    weight of f, and strips the rational content c, so the returned dict
-    equals f_hom / c.
+    Packed exponent vectors after Monagan and Pearce (CASC 2007).  The
+    fields, most significant first, are weight(x), the x-exponents in
+    tie-break order (x_n..x_1 for reverse, x_1..x_n for forward) and t, each
+    ``bits`` wide with its top bit a guard.  Inside one graded piece
+    weight(x) + t is constant, so comparing packed ints is the graded order
+    (grade first, then the local order on the x-part) and the lead of a
+    homogeneous polynomial is its smallest key.  Exponent addition is int
+    addition, and a divides b exactly when b - a sets no guard bit.  Both
+    hold while every field stays below its guard, which every monomial of
+    grade at most ``max_grade`` does; ``_fit`` widens the fields before any
+    work in a higher grade.
     """
-    top = max(form.weight(e) for e in f.exponents())
-    content = _content(f)
-    return (
-        {(*e, top - form.weight(e)): int(c / content) for e, c in f.items()},
-        content,
-    )
+
+    __slots__ = ("order", "n", "bits", "max_grade", "guard", "shifts", "wshift", "mults")
+
+    def __init__(self, order: LocalOrder, grade: int):
+        n = order.n
+        bits = grade.bit_length() + 1
+        fields = range(1, n + 1) if order.tiebreak == REVERSE else range(n, 0, -1)
+        self.order = order
+        self.n = n
+        self.bits = bits
+        self.max_grade = (1 << (bits - 1)) - 1
+        self.guard = sum(1 << (f * bits + bits - 1) for f in range(n + 2))
+        self.shifts = [f * bits for f in fields]
+        self.wshift = wshift = (n + 1) * bits
+        self.mults = [
+            (w << wshift) + (1 << s) for w, s in zip(order.form.weights, self.shifts)
+        ] + [1]
+
+    def pack(self, exp) -> int:
+        return sum(map(mul, exp, self.mults))
+
+    def unpack(self, key) -> tuple:
+        mask = self.max_grade
+        return (*((key >> s) & mask for s in self.shifts), key & mask)
+
+    def grade(self, key) -> int:
+        """weight(x) + t, read off the top and bottom fields."""
+        return (key >> self.wshift) + (key & self.max_grade)
 
 
 def _int_content(d: dict) -> int:
@@ -464,6 +468,8 @@ def _int_content(d: dict) -> int:
 class _HElement:
     """Weighted-homogeneous basis element over Z with cached lead data.
 
+    ``poly`` maps packed monomials to ints, ``lead`` is its smallest key and
+    ``lm`` the same monomial as an exponent tuple for the pair update.
     Elements are kept free of common grading-variable powers; ``tpow``
     remembers how many were divided out.  ``cert`` (when tracked) is a list
     of exact rational cofactors with
@@ -474,14 +480,91 @@ class _HElement:
     set to 1.
     """
 
-    __slots__ = ("poly", "lm", "lc", "tpow", "cert")
+    __slots__ = ("poly", "lead", "lm", "lc", "tpow", "cert")
 
-    def __init__(self, poly: dict, lm, tpow: int, cert):
+    def __init__(self, poly: dict, packing: _Packing, tpow: int, cert):
         self.poly = poly
-        self.lm = lm
-        self.lc = poly[lm]
+        self.lead = min(poly)
+        self.lm = packing.unpack(self.lead)
+        self.lc = poly[self.lead]
         self.tpow = tpow
         self.cert = cert
+
+
+def _homogenize(polys, order: LocalOrder):
+    """Weighted homogenization of nonzero polynomials into packed elements.
+
+    Pads each term with a grading variable so every term reaches the top
+    weight of its polynomial, and strips the rational content c, so each
+    element's poly equals f_hom / c.  Returns (packing, elements, contents);
+    the packing is sized for the largest top weight.
+    """
+    form = order.form
+    tops = [max(form.weight(e) for e in f.exponents()) for f in polys]
+    packing = _Packing(order, max(tops, default=0))
+    elems = []
+    contents = []
+    for f, top in zip(polys, tops):
+        content = _content(f)
+        poly = {
+            packing.pack((*e, top - form.weight(e))): int(c / content)
+            for e, c in f.items()
+        }
+        elems.append(_HElement(poly, packing, 0, None))
+        contents.append(content)
+    return packing, elems, contents
+
+
+def _fit(packing: _Packing, elems, grade: int) -> _Packing:
+    """A packing whose fields hold ``grade``, repacking the elements in
+    place when the current one is too narrow.  Callers pass the sum of two
+    lead grades, a bound on the grade of their lcm, before packing that lcm.
+    The new width covers twice the grade, so a completion climbing through
+    the grades repacks only a logarithmic number of times."""
+    if grade <= packing.max_grade:
+        return packing
+    wide = _Packing(packing.order, 2 * grade)
+    for b in elems:
+        b.poly = {wide.pack(packing.unpack(e)): v for e, v in b.poly.items()}
+        b.lead = wide.pack(b.lm)
+    return wide
+
+
+def _submul(work: dict, lc: int, c: int, m: int, poly: dict, heap=None):
+    """The reduction kernel: a * work - b * x^m * poly over packed keys.
+
+    Fraction-free: with lc the lead coefficient of poly and c the
+    coefficient of x^m * lead(poly) in work, the multipliers (a, b) are
+    (lc, c) divided by their gcd, so that term cancels with the smallest
+    integers.  Terms that cancel are dropped; keys new to the support are
+    pushed onto ``heap`` when one is given.  Returns (result, a, b).
+    """
+    g = gcd(lc, c)
+    a, b = lc // g, c // g
+    new = {e: v * a for e, v in work.items()}
+    get = new.get
+    for e, v in poly.items():
+        key = e + m
+        acc = get(key)
+        if acc is None:
+            new[key] = -b * v
+            if heap is not None:
+                heappush(heap, key)
+        else:
+            acc -= b * v
+            if acc:
+                new[key] = acc
+            else:
+                del new[key]
+    return new, a, b
+
+
+def _spair(f: _HElement, g: _HElement, gamma: int):
+    """The s-polynomial a * x^(gamma - lm(f)) * f - b * x^(gamma - lm(g)) * g
+    of two elements with packed lead lcm gamma; returns it with (a, b)."""
+    shift = gamma - f.lead
+    work = {e + shift: v for e, v in f.poly.items()}
+    return _submul(work, g.lc, f.lc, gamma - g.lead, g.poly)
 
 
 def _tshift(cert, n: int, k: int):
@@ -491,46 +574,40 @@ def _tshift(cert, n: int, k: int):
     return [ck.mul_term(1, shift) for ck in cert]
 
 
-def _hreduce(h, cert, tpow, basis, hkey, n, limits: ResourceLimits):
+def _hreduce(work, cert, tpow, reducers, packing: _Packing, limits: ResourceLimits):
     """Full reduction in the homogenized world, fraction-free over Z.
 
-    Scale by the reducer lead, subtract, strip the integer content:
-    coefficients stay at Gaussian-elimination size, and because every
-    polynomial is weighted-homogeneous the working position walks through
-    the finitely many exponents of one graded piece, so reduction is short.
-    Every term of the result is head-irreducible against the basis.
+    Each step is one call of the kernel ``_submul`` followed by stripping
+    the integer content, so coefficients stay at Gaussian-elimination size;
+    because every polynomial is weighted-homogeneous the working position
+    walks through the finitely many exponents of one graded piece, so
+    reduction is short.
+    Terms are taken smallest first off a heap of packed keys.  A step at key
+    k only adds keys above k, so a term found irreducible stays below every
+    later lead and is never looked at again.  Every term of the result is
+    head-irreducible against the basis.
     """
-    work = dict(h)
-    finished = set()
+    n = packing.n
+    guard = packing.guard
+    heads = [(b.lead, b) for b in reducers]
+    heap = list(work)
+    heapify(heap)
     steps = 0
-    while True:
-        live = [e for e in work if e not in finished]
-        if not live:
-            break
-        lm = min(live, key=hkey)
-        t = None
-        for b in basis:
-            if all(x <= y for x, y in zip(b.lm, lm)):
-                t = b
-                break
-        if t is None:
-            finished.add(lm)
+    while heap:
+        lm = heappop(heap)
+        if lm not in work:
             continue
-        c = work[lm]
-        m_exp = exp_sub(lm, t.lm)
-        lc = t.lc
-        new = {e: v * lc for e, v in work.items()}
-        for e, v in t.poly.items():
-            key = exp_add(e, m_exp)
-            acc = new.get(key, 0) - c * v
-            if acc:
-                new[key] = acc
-            elif key in new:
-                del new[key]
-        work = new
+        for head, t in heads:
+            if not (lm - head) & guard:
+                break
+        else:
+            continue
+        m = lm - head
+        work, a, b = _submul(work, t.lc, work[lm], m, t.poly, heap)
         if cert is not None:
+            m_exp = packing.unpack(m)
             cert = [
-                ck.scale(lc) - tk.mul_term(c, m_exp)
+                ck.scale(a) - tk.mul_term(b, m_exp)
                 for ck, tk in zip(_tshift(cert, n, t.tpow), _tshift(t.cert, n, tpow))
             ]
             tpow += t.tpow
@@ -546,9 +623,11 @@ def _hreduce(h, cert, tpow, basis, hkey, n, limits: ResourceLimits):
         if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
     if work:
-        tmin = min(e[n] for e in work)
+        # t is the lowest field: dividing by t^tmin is an int subtraction
+        mask = packing.max_grade
+        tmin = min(e & mask for e in work)
         if tmin:
-            work = {(*e[:n], e[n] - tmin): v for e, v in work.items()}
+            work = {e - tmin: v for e, v in work.items()}
             tpow += tmin
     return work, cert, tpow
 
@@ -571,33 +650,19 @@ def _complete(
     order).
     """
     n = order.n
-    form = order.form
     if not generators:
         return CompletionResult((), () if certificates else None)
 
-    # within one graded piece the x-part weight is grade minus the pad
-    # exponent, so the lead comparison needs no weight arithmetic
-    if order.tiebreak == REVERSE:
-        hkey = lambda e: (-e[n], e[n - 1 :: -1])
-    else:
-        hkey = lambda e: (-e[n], e[:n])
-
-    hzero = Poly.zero(n + 1)
-    basis = []
-    for k, g in enumerate(generators):
-        hpoly, content = _homogenize_int(g, form)
-        cert = None
-        if certificates:
-            cert = [
-                Poly.constant(n + 1, 1 / content) if i == k else hzero
+    packing, basis, contents = _homogenize(generators, order)
+    if certificates:
+        hzero = Poly.zero(n + 1)
+        for k, b in enumerate(basis):
+            b.cert = [
+                Poly.constant(n + 1, 1 / contents[k]) if i == k else hzero
                 for i in range(len(generators))
             ]
-        basis.append(_HElement(hpoly, min(hpoly, key=hkey), 0, cert))
 
-    def hweight(exp) -> int:
-        return exp[n] + form.weight(exp[:n])
-
-    pairs: dict = {}  # (i, j) -> (lcm weight, creation counter)
+    pairs: dict = {}  # (i, j) -> (lcm grade, creation counter, packed lcm)
     counter = 0
     active = []  # indices whose leads are not divisible by a later lead
     reducers = []
@@ -605,44 +670,58 @@ def _complete(
     def push_pairs(new_index):
         """Becker-Weispfenning update: Gebauer-Moeller pruning of the pair
         set plus deletion of elements dominated by the new lead."""
-        nonlocal counter
+        nonlocal counter, packing
         t = basis[new_index].lm
-        lcms = {i: exp_max(basis[i].lm, t) for i in active}
+        # an lcm's grade is at most the sum of its two leads' grades, so with
+        # the packing fitted to that bound every new pair's lcm packs
+        # exactly from its creation on; queued lcms are repacked with it
+        bound = max((packing.grade(basis[i].lead) for i in active), default=0)
+        wide = _fit(packing, basis, bound + packing.grade(basis[new_index].lead))
+        if wide is not packing:
+            pairs.update(
+                {
+                    ab: (g, c, wide.pack(packing.unpack(lab)))
+                    for ab, (g, c, lab) in pairs.items()
+                }
+            )
+            packing = wide
+        guard = packing.guard
+        lead = basis[new_index].lead
+        keys = {i: packing.pack(exp_max(basis[i].lm, t)) for i in active}
         # new pairs whose lcm is properly divisible by another new lcm go
         survivors = []
         for i in active:
-            li = lcms[i]
-            dominated = False
+            li = keys[i]
             for j in active:
-                if j == i:
-                    continue
-                lj = lcms[j]
-                if lj != li and exp_divides(lj, li):
-                    dominated = True
+                lj = keys[j]
+                if lj == li:
+                    if j < i:
+                        break  # keep one representative per lcm
+                elif not (li - lj) & guard:
                     break
-                if lj == li and j < i:
-                    dominated = True  # keep one representative per lcm
-                    break
-            if not dominated:
+            else:
                 survivors.append(i)
-        # chain criterion on the old pairs
-        for (a, b) in list(pairs):
-            lab = exp_max(basis[a].lm, basis[b].lm)
-            la = exp_max(basis[a].lm, t)
-            lb = exp_max(basis[b].lm, t)
-            if exp_divides(t, lab) and la != lab and lb != lab:
-                del pairs[(a, b)]
-        # product criterion last: coprime survivors vanish outright
-        for i in survivors:
-            if lcms[i] == exp_add(basis[i].lm, t):
+        # chain criterion on the old pairs; lcm(a, t) divides lcm(a, b)
+        # whenever t does, so it fits the packing too
+        for (a, b), (_, _, lab) in list(pairs.items()):
+            if (lab - lead) & guard:
                 continue
-            pairs[(i, new_index)] = (hweight(lcms[i]), counter)
+            if lab != packing.pack(exp_max(basis[a].lm, t)) and lab != packing.pack(
+                exp_max(basis[b].lm, t)
+            ):
+                del pairs[(a, b)]
+        # product criterion last: coprime survivors vanish outright (a field
+        # sum stays below twice the guard, so the packed test is exact)
+        for i in survivors:
+            if keys[i] == basis[i].lead + lead:
+                continue
+            pairs[(i, new_index)] = (packing.grade(keys[i]), counter, keys[i])
             counter += 1
         if len(pairs) > limits.max_pairs:
             raise ResourceLimitError("max_pairs", limits.max_pairs)
         # leads now divisible by the new lead retire from the active set
         for i in list(active):
-            if exp_divides(t, basis[i].lm):
+            if not (basis[i].lead - lead) & guard:
                 active.remove(i)
                 reducers.remove(basis[i])
         active.append(new_index)
@@ -655,34 +734,26 @@ def _complete(
 
     while pairs:
         (i, j) = min(pairs, key=lambda key: pairs[key])
-        del pairs[(i, j)]
+        _, _, gamma = pairs.pop((i, j))
         bi, bj = basis[i], basis[j]
-        gamma = exp_max(bi.lm, bj.lm)
-        mi, mj = exp_sub(gamma, bi.lm), exp_sub(gamma, bj.lm)
-        sp = {exp_add(e, mi): v * bj.lc for e, v in bi.poly.items()}
-        for e, v in bj.poly.items():
-            key = exp_add(e, mj)
-            acc = sp.get(key, 0) - bi.lc * v
-            if acc:
-                sp[key] = acc
-            elif key in sp:
-                del sp[key]
+        sp, a, b = _spair(bi, bj, gamma)
         if not sp:
             continue
         cert = None
         if certificates:
+            mi, mj = packing.unpack(gamma - bi.lead), packing.unpack(gamma - bj.lead)
             cert = [
-                ck.mul_term(bj.lc, mi) - cl.mul_term(bi.lc, mj)
+                ck.mul_term(a, mi) - cl.mul_term(b, mj)
                 for ck, cl in zip(
                     _tshift(bi.cert, n, bj.tpow), _tshift(bj.cert, n, bi.tpow)
                 )
             ]
         sp, cert, tpow = _hreduce(
-            sp, cert, bi.tpow + bj.tpow, reducers, hkey, n, limits
+            sp, cert, bi.tpow + bj.tpow, reducers, packing, limits
         )
         if not sp:
             continue
-        basis.append(_HElement(sp, min(sp, key=hkey), tpow, cert))
+        basis.append(_HElement(sp, packing, tpow, cert))
         push_pairs(len(basis) - 1)
 
     # back to the local world: evaluate the grading variable at 1 and scale
@@ -694,16 +765,15 @@ def _complete(
     keep = sorted(set(active) | set(range(len(generators))))
     out_basis = []
     out_certs = []
-    seen = set()
     for b in (basis[k] for k in keep):
-        raw = Poly(n, [(e[:n], v) for e, v in b.poly.items()])
-        scale = 1 / raw.coeff(initial_exponent(raw, order))
-        p = raw.scale(scale)
-        if p in seen:
+        # the graded lead is the local initial term, so lc is its coefficient
+        lc = b.lc
+        p = Poly(n, [(packing.unpack(e)[:n], Fraction(v, lc)) for e, v in b.poly.items()])
+        if p in out_basis:
             continue
-        seen.add(p)
         out_basis.append(p)
         if certificates:
+            scale = Fraction(1, lc)
             out_certs.append(
                 tuple(
                     Poly(n, [(e[:n], v) for e, v in ck.items()]).scale(scale)

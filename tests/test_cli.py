@@ -264,3 +264,51 @@ def test_main_run(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["vertices"] == [[1, 1]]
+
+
+OUT_OF_RANGE = [
+    ("hs", "eta_max", -1),
+    ("determinacy-exp", "mu", -1),
+    ("determinacy-exp", "trials", -1),
+    ("determinacy-exp", "tail_degree_max", -1),
+    ("cm-certify", "l_max", -1),
+    ("determinacy-exp", "coefficient_range", 0),
+]
+
+
+def out_of_range_job(command, field, value):
+    params = {field: value}
+    extra = {}
+    if command != "hs":
+        params["seed"] = 3
+    if command == "determinacy-exp":
+        extra["map"] = ["x1-x2"]
+    return base_job(command=command, parameters=params, **extra)
+
+
+@pytest.mark.parametrize("command,field,value", OUT_OF_RANGE)
+def test_parameter_out_of_range_exit_2(tmp_path, command, field, value):
+    path = write_job(tmp_path / "range.json", **out_of_range_job(command, field, value))
+    report, code = run_job(path)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["kind"] == "parse"
+    assert field in report["error"]["message"]
+
+
+def test_suite_survives_out_of_range_job(tmp_path, capsys):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    # "a-" sorts first, so the good job runs after the bad one
+    write_job(jobs / "a-bad.json", **out_of_range_job("hs", "eta_max", -1))
+    write_job(jobs / "b-good.json", **base_job())
+    out = tmp_path / "out"
+    assert main(["suite", str(jobs), "--out", str(out)]) == 1
+    aggregate = json.loads(capsys.readouterr().out)
+    by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
+    assert by_name == {"a-bad.json": 2, "b-good.json": 0}
+    assert aggregate["total"] == 2 and aggregate["passed"] == 1
+    good = json.loads((out / "b-good.report.json").read_text(encoding="utf-8"))
+    assert good["status"] == "ok" and good["result"]["vertices"] == [[1, 1]]
+    bad = json.loads((out / "a-bad.report.json").read_text(encoding="utf-8"))
+    assert bad["error"]["kind"] == "parse"

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from germlab import (
+    FORWARD,
     REVERSE,
     IdealPresentation,
     Poly,
@@ -15,8 +18,14 @@ from germlab import (
     standard_basis_complete,
     weak_normal_form,
 )
-from germlab.orders import exp_divides
-from germlab.standard_basis import ResourceLimits, becker_check, is_proper
+from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max
+from germlab.standard_basis import (
+    ResourceLimits,
+    _homogenize,
+    _Packing,
+    becker_check,
+    is_proper,
+)
 
 REV = degree_order(2, REVERSE)
 
@@ -179,6 +188,27 @@ def test_resource_limit_reported():
     assert info.value.bound == "max_pairs"
 
 
+def _three_generator_ideal():
+    return IdealPresentation(
+        3,
+        [p("x1 + x2^2 + x3^3", 3), p("x2 + x3^2 + x1^2", 3), p("x3 + x1^3", 3)],
+    )
+
+
+@pytest.mark.parametrize(
+    "limits,bound",
+    [
+        (ResourceLimits(max_reductions=2), "max_reductions"),
+        (ResourceLimits(max_terms=3), "max_terms"),
+    ],
+)
+def test_reduction_limits_reported(limits, bound):
+    with pytest.raises(ResourceLimitError) as info:
+        standard_basis_complete(_three_generator_ideal(), degree_order(3, REVERSE), limits)
+    assert info.value.bound == bound
+    assert info.value.limit == getattr(limits, bound)
+
+
 def test_completion_cache_upgrades():
     I = IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2")])
     bare = I.completion(REV, certificates=False)
@@ -187,3 +217,97 @@ def test_completion_cache_upgrades():
     assert rich.certificates is not None
     assert rich.basis == bare.basis
     assert I.completion(REV, certificates=False).certificates is not None
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3), (1, 2, 1)])
+def test_packing_matches_graded_order_and_divisibility(weights, tiebreak):
+    order = LocalOrder(PositiveLinearForm(weights), tiebreak)
+    n = len(weights)
+    piece = 40
+    packing = _Packing(order, piece)
+    rng = random.Random(f"packing-{weights}-{tiebreak}")
+
+    def in_piece():
+        # an x-part of weight <= piece padded to that graded piece
+        while True:
+            x = tuple(rng.randint(0, piece // w) for w in weights)
+            if order.form.weight(x) <= piece:
+                return (*x, piece - order.form.weight(x))
+
+    def grade(e):
+        return order.form.weight(e[:n]) + e[n]
+
+    def anywhere():
+        while True:
+            e = tuple(rng.randint(0, 12) for _ in range(n + 1))
+            if grade(e) <= packing.max_grade:
+                return e
+
+    # the tuple sort key the graded engine used before packing: larger t
+    # first, then the tie-break on the x-part
+    if tiebreak == REVERSE:
+        hkey = lambda e: (-e[n], e[n - 1 :: -1])
+    else:
+        hkey = lambda e: (-e[n], e[:n])
+    for _ in range(400):
+        a, b = in_piece(), in_piece()
+        assert (packing.pack(a) < packing.pack(b)) == (hkey(a) < hkey(b))
+        assert packing.unpack(packing.pack(a)) == a
+    seen = set()
+    for _ in range(400):
+        a, b = anywhere(), anywhere()
+        # half the pairs are a against lcm(a, b): divisible unless too big
+        if rng.random() < 0.5 and grade(exp_max(a, b)) <= packing.max_grade:
+            b = exp_max(a, b)
+        divides = not (packing.pack(b) - packing.pack(a)) & packing.guard
+        assert divides == exp_divides(a, b)
+        assert packing.grade(packing.pack(b)) == grade(b)
+        seen.add(divides)
+    assert seen == {True, False}
+
+
+def test_exponents_beyond_32_bits():
+    big = 2**40
+    order = degree_order(2, REVERSE)
+    ideal = IdealPresentation(2, [Poly.monomial(2, (big, 0)), p("x2")])
+    assert diagram_of_ideal(ideal, order).vertices == frozenset({(big, 0), (0, 1)})
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+def test_pair_crossing_the_packing_width(tiebreak):
+    # the lcm of the leads x2^2 and x1^(A-1)*x2 has grade 2A - 1, past the
+    # fields sized for the generators' top grade A, and its s-pair is
+    # x1^(2A-1), whose exponent overflows an x-field of the initial packing
+    big = 2**40 + 2
+    f = Poly(2, {(0, 2): 1, (big, 0): 1})
+    g = Poly(2, {(big - 1, 1): 1})
+    order = degree_order(2, tiebreak)
+    packing, elems, _ = _homogenize([f, g], order)
+    assert exp_max(elems[0].lm, elems[1].lm) == (big - 1, 2, big - 2)
+    assert 2 * big - 1 > packing.max_grade
+    ideal = IdealPresentation(2, [f, g])
+    assert diagram_of_ideal(ideal, order).vertices == frozenset(
+        {(0, 2), (big - 1, 1), (2 * big - 1, 0)}
+    )
+    completion = IdealPresentation(2, [f, g]).completion(order, certificates=True)
+    for b, cert in zip(completion.basis, completion.certificates):
+        acc = Poly.zero(2)
+        for c, gen in zip(cert, (f, g)):
+            acc = acc + c * gen
+        assert acc == b
+    assert becker_check(list(completion.basis), order).ok
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+def test_widening_with_queued_pairs(tiebreak):
+    # the third generator's pairs outgrow the fields sized for the top grade
+    # 4 while the first pair is still queued, so its lcm is repacked too
+    gens = [
+        p("4*x1*x2 - 4*x2^3 + 5*x1^3 + 3*x2^4"),
+        p("x1^2 + x1^2*x2 + 2*x1^3"),
+        p("5*x1^2*x2 - 4*x1^3 - 10*x1^2*x2^2"),
+    ]
+    small = ResourceLimits(max_reductions=1000)
+    d = diagram_of_ideal(IdealPresentation(2, gens), degree_order(2, tiebreak), small)
+    assert d.vertices == frozenset({(0, 5), (1, 1), (2, 0)})
