@@ -81,6 +81,11 @@ _SEEDED = {"dim", "cm-certify", "flat-check", "determinacy-order", "determinacy-
 _NEEDS_MAP = {"flat-check", "determinacy-order", "determinacy-exp", "approx-exp"}
 
 
+def _is_int(value) -> bool:
+    """JSON integer; true and false decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def limits_from_env() -> ResourceLimits:
     """Resource bounds, overridable through GERMLAB_MAX_* variables."""
 
@@ -137,7 +142,7 @@ class Job:
         if (
             not isinstance(weights, list)
             or len(weights) != self.n
-            or any(not isinstance(w, int) or w < 1 for w in weights)
+            or any(not _is_int(w) or w < 1 for w in weights)
         ):
             raise ParseError("ordering weights must be positive integers, one per variable")
         self.order = LocalOrder(PositiveLinearForm(tuple(weights)), tiebreak)
@@ -149,7 +154,7 @@ class Job:
         if unknown:
             raise ParseError(f"unknown parameters: {sorted(unknown)}")
         for key, value in params.items():
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ParseError(f"parameter {key!r} must be an integer")
             low = _PARAM_MINIMUM.get(key)
             if low is not None and value < low:
@@ -293,6 +298,12 @@ def _staircase_points(diagram, order, eta):
     return [e for e in _weighted_box(order.form, eta) if diagram.member(e)]
 
 
+def _parse_failure(envelope: dict, message: str, **position):
+    """Exit-2 parse error report; ``position`` is line and column when known."""
+    envelope.update(status="error", error={"kind": "parse", "message": message, **position})
+    return envelope, 2
+
+
 def run_job(path, limits: ResourceLimits | None = None):
     """Execute one job file; returns (report dict, exit code)."""
     envelope = {
@@ -304,37 +315,27 @@ def run_job(path, limits: ResourceLimits | None = None):
         try:
             limits = limits_from_env()
         except ParseError as exc:
-            envelope.update(
-                status="error", error={"kind": "parse", "message": exc.reason}
-            )
-            return envelope, 2
+            return _parse_failure(envelope, exc.reason)
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         envelope.update(status="error", error={"kind": "io", "message": str(exc)})
         return envelope, 2
+    except UnicodeDecodeError as exc:
+        return _parse_failure(
+            envelope, f"job file is not UTF-8: {exc.reason} at byte {exc.start}"
+        )
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        envelope.update(
-            status="error",
-            error={
-                "kind": "parse",
-                "message": exc.msg,
-                "line": exc.lineno,
-                "column": exc.colno,
-            },
-        )
-        return envelope, 2
+        return _parse_failure(envelope, exc.msg, line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        return _parse_failure(envelope, "job file is nested too deeply")
 
     try:
         job = Job(data)
     except ParseError as exc:
-        envelope.update(
-            status="error",
-            error={"kind": "parse", "message": exc.reason, "line": exc.line, "column": exc.column},
-        )
-        return envelope, 2
+        return _parse_failure(envelope, exc.reason, line=exc.line, column=exc.column)
 
     envelope.update(command=job.command, job=job.data)
     try:
@@ -349,11 +350,7 @@ def run_job(path, limits: ResourceLimits | None = None):
         )
         return envelope, 2
     except ParseError as exc:
-        envelope.update(
-            status="error",
-            error={"kind": "parse", "message": exc.reason, "line": exc.line, "column": exc.column},
-        )
-        return envelope, 2
+        return _parse_failure(envelope, exc.reason, line=exc.line, column=exc.column)
     except GermlabError as exc:
         envelope.update(status="error", error={"kind": "input", "message": str(exc)})
         return envelope, 2

@@ -19,7 +19,6 @@ from .germs import (
     MapGerm,
     determinacy_order,
     dimension_at_origin,
-    fibre_ideal,
     tangent_cones_equal,
 )
 from .orders import REVERSE, LocalOrder, degree_order
@@ -180,8 +179,8 @@ def determinacy_experiment(
     """
     bound = determinacy_order(ideal, phi, derive_seed(spec.rng_seed, "baseline"), limits)
     order = degree_order(ideal.n, REVERSE)
-    fib0 = fibre_ideal(ideal, phi)
-    d0 = diagram_of_ideal(fib0, order, limits)
+    fib0 = bound.verdict.fibre_presentation
+    d0 = bound.verdict.fibre_diagram
     hs0 = hilbert_samuel(d0, eta_max)
     dom_dim = bound.verdict.domain_dimension
     expected = dom_dim - phi.m
@@ -247,8 +246,8 @@ def approximation_experiment(
     base_flat = determinacy_order(ideal, phi, derive_seed(spec.rng_seed, "baseline"), limits)
     d_dom0 = diagram_of_ideal(ideal, order, limits)
     hs_dom0 = hilbert_samuel(d_dom0, eta_max)
-    fib0 = fibre_ideal(ideal, phi)
-    d_fib0 = diagram_of_ideal(fib0, order, limits)
+    fib0 = base_flat.verdict.fibre_presentation
+    d_fib0 = base_flat.verdict.fibre_diagram
     hs_fib0 = hilbert_samuel(d_fib0, eta_max)
     bound_dom = d_dom0.max_vertex_weight()
     bound_fib = d_fib0.max_vertex_weight()

@@ -10,7 +10,7 @@ re-checked deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import (
     Diagram,
@@ -28,8 +28,8 @@ from .standard_basis import (
     IdealPresentation,
     ResourceLimits,
     diagram_of_ideal,
-    ideal_membership,
     is_proper,
+    weak_normal_form,
 )
 
 
@@ -257,6 +257,9 @@ class FlatnessVerdict:
     seed: int
     domain_result: DimensionResult
     fibre_result: DimensionResult
+    # the fibre ideal whose completions produced the verdict, for callers
+    # that go on working with the same fibre; not part of the report
+    fibre_presentation: IdealPresentation = field(compare=False, repr=False)
 
     def as_dict(self):
         return {
@@ -310,6 +313,7 @@ def flatness_check(
         seed=rng_seed,
         domain_result=dom,
         fibre_result=fib,
+        fibre_presentation=fib_ideal,
     )
 
 
@@ -376,20 +380,25 @@ def tangent_cones_equal(
     ideal_b: IdealPresentation,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> bool:
-    """Mutual membership of the two homogeneous generating sets.
+    """Equal diagrams plus one-sided containment of the initial-form ideals.
 
-    All data is homogeneous, so local division terminates without units and
-    membership against the completed cone ideals is decisive.
+    For the degree order the initial forms of a standard basis are a
+    standard basis of the tangent cone, so each cone has the diagram of its
+    ideal and no cone needs completing.  Two homogeneous ideals with equal
+    diagrams, one contained in the other, are equal; containment is checked
+    by dividing cone b's generators by cone a's, which homogeneous input
+    (ecart 0) lets run without units.
     """
     if ideal_a.n != ideal_b.n:
         raise DimensionMismatchError("ideals on different ambient sizes")
     order = degree_order(ideal_a.n, REVERSE)
     gens_a = tangent_cone_ideal(ideal_a, order, limits)
     gens_b = tangent_cone_ideal(ideal_b, order, limits)
-    cone_a = IdealPresentation(ideal_a.n, gens_a)
-    cone_b = IdealPresentation(ideal_b.n, gens_b)
-    return all(ideal_membership(g, cone_a, order, limits) for g in gens_b) and all(
-        ideal_membership(g, cone_b, order, limits) for g in gens_a
+    if diagram_of_ideal(ideal_a, order, limits) != diagram_of_ideal(ideal_b, order, limits):
+        return False
+    return all(
+        weak_normal_form(g, gens_a, order, limits, certificates=False).remainder.is_zero
+        for g in gens_b
     )
 
 

@@ -250,6 +250,11 @@ def test_env_resource_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GERMLAB_MAX_PAIRS", "junk")
     report, code = run_job(path)
     assert code == 2
+    # no position: the error is in the environment, not in the job file
+    assert report["error"] == {
+        "kind": "parse",
+        "message": "GERMLAB_MAX_PAIRS must be an integer, got 'junk'",
+    }
 
 
 def test_main_version(capsys):
@@ -273,14 +278,21 @@ OUT_OF_RANGE = [
     ("determinacy-exp", "tail_degree_max", -1),
     ("cm-certify", "l_max", -1),
     ("determinacy-exp", "coefficient_range", 0),
+    # JSON true decodes to a bool, which Python counts as the integer 1
+    ("hs", "eta_max", True),
+    ("determinacy-exp", "mu", True),
+    ("determinacy-exp", "trials", True),
+    ("determinacy-exp", "tail_degree_max", True),
+    ("cm-certify", "l_max", True),
+    ("determinacy-exp", "coefficient_range", True),
+    ("determinacy-exp", "seed", True),
 ]
 
 
 def out_of_range_job(command, field, value):
-    params = {field: value}
+    params = {} if command == "hs" else {"seed": 3}
+    params[field] = value
     extra = {}
-    if command != "hs":
-        params["seed"] = 3
     if command == "determinacy-exp":
         extra["map"] = ["x1-x2"]
     return base_job(command=command, parameters=params, **extra)
@@ -296,19 +308,57 @@ def test_parameter_out_of_range_exit_2(tmp_path, command, field, value):
     assert field in report["error"]["message"]
 
 
+def test_boolean_weight_exit_2(tmp_path):
+    path = write_job(
+        tmp_path / "weights.json",
+        **base_job(ordering={"weights": [True, 2], "tiebreak": "reverse"}),
+    )
+    report, code = run_job(path)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert "weights" in report["error"]["message"]
+
+
+def test_json_syntax_error_has_position(tmp_path):
+    path = tmp_path / "syntax.json"
+    path.write_text('{"variables": [\n  "x1",\n}', encoding="utf-8")
+    report, code = run_job(path)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert (report["error"]["line"], report["error"]["column"]) == (3, 1)
+
+
+LATIN1_JOB = b'{"variables": ["x1"], "command": "diagram", "ideal": ["x1\xe9"]}'
+DEEP_JOB = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("content,word", [(LATIN1_JOB, "UTF-8"), (DEEP_JOB, "nested")])
+def test_undecodable_job_exit_2(tmp_path, content, word):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    report, code = run_job(path)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["kind"] == "parse"
+    assert word in report["error"]["message"]
+
+
 def test_suite_survives_out_of_range_job(tmp_path, capsys):
     jobs = tmp_path / "jobs"
     jobs.mkdir()
-    # "a-" sorts first, so the good job runs after the bad one
+    # "a-" sorts first, so the good job runs after the bad ones
     write_job(jobs / "a-bad.json", **out_of_range_job("hs", "eta_max", -1))
+    (jobs / "a-latin1.json").write_bytes(LATIN1_JOB)
+    (jobs / "a-deep.json").write_bytes(DEEP_JOB)
     write_job(jobs / "b-good.json", **base_job())
     out = tmp_path / "out"
     assert main(["suite", str(jobs), "--out", str(out)]) == 1
     aggregate = json.loads(capsys.readouterr().out)
     by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
-    assert by_name == {"a-bad.json": 2, "b-good.json": 0}
-    assert aggregate["total"] == 2 and aggregate["passed"] == 1
+    assert by_name == {"a-bad.json": 2, "a-deep.json": 2, "a-latin1.json": 2, "b-good.json": 0}
+    assert aggregate["total"] == 4 and aggregate["passed"] == 1
     good = json.loads((out / "b-good.report.json").read_text(encoding="utf-8"))
     assert good["status"] == "ok" and good["result"]["vertices"] == [[1, 1]]
-    bad = json.loads((out / "a-bad.report.json").read_text(encoding="utf-8"))
-    assert bad["error"]["kind"] == "parse"
+    for name in ("a-bad", "a-latin1", "a-deep"):
+        bad = json.loads((out / f"{name}.report.json").read_text(encoding="utf-8"))
+        assert bad["error"]["kind"] == "parse"

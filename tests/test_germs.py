@@ -1,6 +1,7 @@
 import pytest
 
 from germlab import (
+    REVERSE,
     IdealPresentation,
     MapGerm,
     NotFlatError,
@@ -8,14 +9,21 @@ from germlab import (
     UnitIdealError,
     analyze_germ,
     cm_certify,
+    degree_order,
     determinacy_order,
+    diagram_of_ideal,
     dimension_at_origin,
     fibre_ideal,
     flatness_check,
+    ideal_membership,
     parse_poly,
     tangent_cone_ideal,
     tangent_cones_equal,
 )
+from germlab import standard_basis
+from germlab.seeding import make_rng
+
+from _corpus import random_poly
 
 
 def p(text, n=2):
@@ -86,6 +94,16 @@ def test_flatness_worked_examples():
     assert free.flat and free.fibre_dimension == 1
 
 
+def test_flatness_verdict_carries_its_fibre():
+    I, phi = ideal("x1*x2"), MapGerm(2, (p("x1 - x2"),))
+    verdict = flatness_check(I, phi, 7)
+    assert verdict.fibre_presentation.generators == fibre_ideal(I, phi).generators
+    # the presentation is neither reported nor compared
+    assert verdict.as_dict() == flatness_check(I, phi, 7).as_dict()
+    assert verdict == flatness_check(I, phi, 7)
+    assert "IdealPresentation" not in repr(verdict)
+
+
 def test_flatness_too_many_components():
     verdict = flatness_check(
         ideal("x1", "x2"), MapGerm(2, (p("x1 - x2"),)), 7
@@ -134,6 +152,108 @@ def test_tangent_cones_equal_examples():
     assert tangent_cones_equal(I, I)
     assert tangent_cones_equal(I, ideal("x1^2 + x2^5"))
     assert not tangent_cones_equal(ideal("x1"), ideal("x2"))
+
+
+def test_cones_differ_with_equal_diagrams():
+    # both diagrams are {(2, 0)}, but the cones are (x1^2) and (x1^2 + x1*x2)
+    a, b = ideal("x1^2"), ideal("x1^2 + x1*x2")
+    order = degree_order(2, REVERSE)
+    assert diagram_of_ideal(a, order) == diagram_of_ideal(b, order)
+    assert not tangent_cones_equal(a, b)
+    assert not tangent_cones_equal(b, a)
+
+
+def test_cones_of_the_zero_ideal():
+    zero = IdealPresentation(2, [])
+    assert tangent_cones_equal(zero, zero)
+    assert not tangent_cones_equal(zero, ideal("x1^2"))
+    assert not tangent_cones_equal(ideal("x1^2"), zero)
+
+
+def test_cones_of_a_unit_ideal_raise():
+    unit = ideal("1 + x1")
+    with pytest.raises(UnitIdealError):
+        tangent_cones_equal(unit, ideal("x1^2"))
+    with pytest.raises(UnitIdealError):
+        tangent_cones_equal(ideal("x1^2"), unit)
+
+
+def _cones_equal_by_mutual_membership(a, b):
+    """Completed cone presentations, membership both ways."""
+    order = degree_order(a.n, REVERSE)
+    gens_a = tangent_cone_ideal(a, order)
+    gens_b = tangent_cone_ideal(b, order)
+    cone_a, cone_b = IdealPresentation(a.n, gens_a), IdealPresentation(b.n, gens_b)
+    return all(ideal_membership(g, cone_a, order) for g in gens_b) and all(
+        ideal_membership(g, cone_b, order) for g in gens_a
+    )
+
+
+def _verdict(equal, a, b):
+    try:
+        return equal(a, b)
+    except UnitIdealError:
+        return "unit"
+
+
+def _cone_pair(rng, n):
+    """A random ideal and a partner: a higher-order tail, a change of the
+    initial forms that may keep the diagram, an unrelated ideal, or a unit."""
+    gens = [random_poly(rng, n, max_degree=3, max_terms=3) for _ in range(rng.randint(1, 2))]
+    kind = rng.randrange(4)
+    if kind == 0:
+        other = [g + random_poly(rng, n, max_degree=5, max_terms=2, min_term_degree=4) for g in gens]
+    elif kind == 1:
+        other = []
+        for g in gens:
+            low = g.min_total_degree()
+            other.append(g + random_poly(
+                rng, n, max_degree=low, max_terms=1, min_terms=1, min_term_degree=low))
+        other = [g for g in other if not g.is_zero]
+    elif kind == 2:
+        other = [random_poly(rng, n, max_degree=3, max_terms=3)]
+    else:
+        other = [Poly.constant(n, 1) + gens[0]]
+    if rng.random() < 0.5:
+        gens, other = other, gens
+    return IdealPresentation(n, gens), IdealPresentation(n, other)
+
+
+def test_cones_equal_matches_mutual_membership():
+    rng = make_rng("cones-vs-membership")
+    order_outcomes = set()
+    same_diagram_outcomes = set()
+    for trial in range(240):
+        n = 2 + trial % 2
+        a, b = _cone_pair(rng, n)
+        got = _verdict(tangent_cones_equal, a, b)
+        assert got == _verdict(_cones_equal_by_mutual_membership, a, b), (a, b)
+        order_outcomes.add(got)
+        if got != "unit":
+            order = degree_order(n, REVERSE)
+            if diagram_of_ideal(a, order) == diagram_of_ideal(b, order):
+                same_diagram_outcomes.add(got)
+    # every branch ran: units, and both verdicts among equal diagrams
+    assert order_outcomes == {True, False, "unit"}
+    assert same_diagram_outcomes == {True, False}
+
+
+def test_cones_equal_completes_nothing_after_the_diagrams(monkeypatch):
+    a, b = ideal("x1^2 - x2^3"), ideal("x1^2 + x2^5")
+    order = degree_order(2, REVERSE)
+    diagram_of_ideal(a, order)
+    diagram_of_ideal(b, order)
+    completed = []
+    original = standard_basis._complete
+
+    def counting(*args, **kwargs):
+        completed.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(standard_basis, "_complete", counting)
+    assert tangent_cones_equal(a, b)
+    assert not tangent_cones_equal(a, ideal("x1^2 + x1*x2"))
+    assert len(completed) == 1  # the one unseen ideal, nothing for either cone
 
 
 def test_fibre_ideal_drops_zero_components():
