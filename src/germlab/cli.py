@@ -32,6 +32,7 @@ from .experiments import (
 from .germs import (
     MapGerm,
     analyze_germ,
+    cm_certify,
     determinacy_order,
     dimension_at_origin,
     flatness_check,
@@ -237,8 +238,6 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
 
     if cmd == "flat-check":
         if "l_max" in job.params:
-            from .germs import cm_certify
-
             cm = cm_certify(ideal, job.param("l_max"), seed, limits=limits)
             evidence = f"certified(l={cm.l})" if cm.certified else "not-certified"
         else:
@@ -298,9 +297,12 @@ def _staircase_points(diagram, order, eta):
     return [e for e in _weighted_box(order.form, eta) if diagram.member(e)]
 
 
-def _parse_failure(envelope: dict, message: str, **position):
-    """Exit-2 parse error report; ``position`` is line and column when known."""
-    envelope.update(status="error", error={"kind": "parse", "message": message, **position})
+def _parse_failure(envelope: dict, message: str, line=None, column=None):
+    """Exit-2 parse error report, with line and column only when known."""
+    error = {"kind": "parse", "message": message}
+    if line is not None:
+        error.update(line=line, column=column)
+    envelope.update(status="error", error=error)
     return envelope, 2
 
 

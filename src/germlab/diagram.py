@@ -80,15 +80,8 @@ class HilbertSamuelTable:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
-    @property
-    def eta_max(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, eta: int) -> int:
         return self.values[eta]
-
-    def truncated(self, eta: int) -> "HilbertSamuelTable":
-        return HilbertSamuelTable(self.values[: eta + 1])
 
     def to_list(self):
         return list(self.values)

@@ -28,11 +28,13 @@ class NotFlatError(GermlabError, ValueError):
 class ParseError(GermlabError, ValueError):
     """Malformed polynomial text or job file.
 
-    Carries a 1-based line and column of the offending character.
+    Carries the 1-based line and column of the offending character when the
+    error has one; errors about a job's structure leave both None.
     """
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(message + where)
         self.reason = message
         self.line = line
         self.column = column

@@ -82,9 +82,6 @@ class LocalOrder:
             return GREATER
         return EQUAL
 
-    def min_exponent(self, exponents):
-        return min(exponents, key=self.key)
-
 
 def degree_order(n: int, tiebreak: str = REVERSE) -> LocalOrder:
     return LocalOrder(degree_form(n), tiebreak)

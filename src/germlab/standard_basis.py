@@ -25,8 +25,8 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
@@ -247,62 +247,6 @@ class BeckerResult:
     failure: tuple | None = None  # (i, j, remainder)
 
 
-def _becker_pair_fast(i, j, gamma, helems, contents, packing, limits):
-    """Homogeneous s-pair reduction with quotient recording.
-
-    Against a basis coming out of completion this always reaches zero (the
-    homogenized set is a basis in the graded sense) and yields an honest
-    unit-free standard representation.  Returns (status, quotients, witness)
-    with status one of "zero", "witness", "blocked"; "blocked" means the
-    lead was stopped only by the grading variable, so nothing local can be
-    concluded and the caller falls back to the unit-carrying division.
-    """
-    n = packing.n
-    work, a, _ = _spair(helems[i], helems[j], gamma)
-    heap = list(work)
-    heapify(heap)
-    heads = [b.lead for b in helems]
-    guard = packing.guard
-    # the true s-series is scale * work / lam, where work carries the packed
-    # elements (true values divided by their content) and lam the product
-    # of the multipliers applied to it since
-    scale = contents[i] * contents[j] * (helems[j].lc // a)
-    records = []  # (reducer index, multiplier, coefficient, lam after the step)
-    lam = 1
-    steps = 0
-    while heap:
-        lm = heappop(heap)
-        if lm not in work:
-            continue
-        for t, head in enumerate(heads):
-            if not (lm - head) & guard:
-                break
-        else:
-            # the grading variable is the lowest field: shifting it out
-            # leaves the x-part, with weight(x) as the top field
-            bits = packing.bits
-            xpart = lm >> bits
-            xguard = guard >> bits
-            if any(not (xpart - (head >> bits)) & xguard for head in heads):
-                return "blocked", None, None
-            witness = Poly(n, [(packing.unpack(e)[:n], v) for e, v in work.items()])
-            return "witness", None, witness.scale(scale / lam)
-        m = lm - head
-        work, a, b = _submul(work, helems[t].lc, work[lm], m, helems[t].poly, heap)
-        lam *= a
-        records.append((t, m, b, lam))
-        steps += 1
-        if steps > limits.max_reductions:
-            raise ResourceLimitError("max_reductions", limits.max_reductions)
-    # each step took scale * c / lam_rec times x^m * (packed element t),
-    # that is x^m * g_t / contents[t], off the true remainder
-    quotients = [Poly.zero(n) for _ in helems]
-    for t, m, c, lam_rec in records:
-        coeff = c * scale / (contents[t] * lam_rec)
-        quotients[t] = quotients[t] + Poly.monomial(n, packing.unpack(m)[:n], coeff)
-    return "zero", quotients, None
-
-
 def becker_check(
     basis, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> BeckerResult:
@@ -310,9 +254,13 @@ def becker_check(
 
     Returns the first failing pair with its irreducible remainder, or all
     representations on success.  Pairs are scanned in index order, so the
-    witness is deterministic.  Representations come from the graded engine
-    (unit-free) whenever it settles the pair; the unit-carrying division is
-    the fallback.
+    witness is deterministic.  Each s-polynomial is reduced by ``_hreduce``
+    against the homogenized basis.  A zero result gives a unit-free
+    representation, its quotients rebuilt from the step records by
+    ``_cofactors``.  A nonzero result's smallest key is the first term found
+    irreducible: when no lead's x-part divides its x-part, the result at
+    grading variable 1 is the witness; otherwise only the grading variable
+    blocked it and the unit-carrying division is the fallback.
     """
     n = order.n
     if any(g.is_zero for g in basis):
@@ -329,16 +277,28 @@ def becker_check(
             bound = packing.grade(helems[i].lead) + packing.grade(helems[j].lead)
             packing = _fit(packing, helems, bound)
             gamma = packing.pack(exp_max(helems[i].lm, helems[j].lm))
-            status, quotients, witness = _becker_pair_fast(
-                i, j, gamma, helems, contents, packing, limits
-            )
-            if status == "zero":
+            work, a, _ = _spair(helems[i], helems[j], gamma)
+            # s is scale * work at grading variable 1: the packed elements
+            # are the true ones divided by their contents
+            scale = contents[i] * contents[j] * (helems[j].lc // a)
+            work, steps = _hreduce(work, helems, packing, limits)
+            if not work:
+                # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
+                cof = _cofactors(steps, packing, scale)
+                quotients = [Poly(n, cof.get(k, {})) for k in range(len(basis))]
                 reps.append(
                     (i, j, StandardRepresentation(s, quotients, Poly.constant(n, 1)))
                 )
                 continue
-            if status == "witness":
-                return BeckerResult(False, reps, (i, j, witness))
+            # the grading variable is the lowest field: shifting it out
+            # leaves the x-part, with weight(x) as the top field
+            bits = packing.bits
+            xpart = min(work) >> bits
+            xguard = packing.guard >> bits
+            if all((xpart - (b.lead >> bits)) & xguard for b in helems):
+                lam = prod(Fraction(a, c) for _, _, a, _, c in steps)
+                witness = Poly(n, [(packing.unpack(e)[:n], v) for e, v in work.items()])
+                return BeckerResult(False, reps, (i, j, witness.scale(scale / lam)))
             nf = weak_normal_form(s, basis, order, limits)
             if not nf.remainder.is_zero:
                 return BeckerResult(False, reps, (i, j, nf.remainder))
@@ -470,25 +430,23 @@ class _HElement:
 
     ``poly`` maps packed monomials to ints, ``lead`` is its smallest key and
     ``lm`` the same monomial as an exponent tuple for the pair update.
-    Elements are kept free of common grading-variable powers; ``tpow``
-    remembers how many were divided out.  ``cert`` (when tracked) is a list
-    of exact rational cofactors with
+    ``cof`` (when tracked) holds the element's cofactors in the local ring,
+    {generator index: {x-exponent: Fraction}}, with
 
-        t^tpow * poly = sum_k cert[k] * hom(generator_k),
+        poly at t = 1  =  sum_k cof[k] * generator_k.
 
-    which evaluates to an honest combination once the grading variable is
-    set to 1.
+    Evaluating the grading variable t at 1 is a ring map, so cofactors never
+    carry t, and powers of t divided out of ``poly`` leave them unchanged.
     """
 
-    __slots__ = ("poly", "lead", "lm", "lc", "tpow", "cert")
+    __slots__ = ("poly", "lead", "lm", "lc", "cof")
 
-    def __init__(self, poly: dict, packing: _Packing, tpow: int, cert):
+    def __init__(self, poly: dict, packing: _Packing, cof):
         self.poly = poly
         self.lead = min(poly)
         self.lm = packing.unpack(self.lead)
         self.lc = poly[self.lead]
-        self.tpow = tpow
-        self.cert = cert
+        self.cof = cof
 
 
 def _homogenize(polys, order: LocalOrder):
@@ -496,21 +454,23 @@ def _homogenize(polys, order: LocalOrder):
 
     Pads each term with a grading variable so every term reaches the top
     weight of its polynomial, and strips the rational content c, so each
-    element's poly equals f_hom / c.  Returns (packing, elements, contents);
-    the packing is sized for the largest top weight.
+    element's poly equals f_hom / c and its cofactor is the unit e_k / c.
+    Returns (packing, elements, contents); the packing is sized for the
+    largest top weight.
     """
     form = order.form
     tops = [max(form.weight(e) for e in f.exponents()) for f in polys]
     packing = _Packing(order, max(tops, default=0))
+    origin = (0,) * order.n
     elems = []
     contents = []
-    for f, top in zip(polys, tops):
+    for k, (f, top) in enumerate(zip(polys, tops)):
         content = _content(f)
         poly = {
             packing.pack((*e, top - form.weight(e))): int(c / content)
             for e, c in f.items()
         }
-        elems.append(_HElement(poly, packing, 0, None))
+        elems.append(_HElement(poly, packing, {k: {origin: 1 / content}}))
         contents.append(content)
     return packing, elems, contents
 
@@ -567,32 +527,28 @@ def _spair(f: _HElement, g: _HElement, gamma: int):
     return _submul(work, g.lc, f.lc, gamma - g.lead, g.poly)
 
 
-def _tshift(cert, n: int, k: int):
-    if k == 0:
-        return cert
-    shift = (0,) * n + (k,)
-    return [ck.mul_term(1, shift) for ck in cert]
-
-
-def _hreduce(work, cert, tpow, reducers, packing: _Packing, limits: ResourceLimits):
+def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
     """Full reduction in the homogenized world, fraction-free over Z.
 
-    Each step is one call of the kernel ``_submul`` followed by stripping
-    the integer content, so coefficients stay at Gaussian-elimination size;
-    because every polynomial is weighted-homogeneous the working position
-    walks through the finitely many exponents of one graded piece, so
-    reduction is short.
+    The one reduction loop: the completion and Becker's check both reduce
+    through it.  Each step is one call of the kernel ``_submul`` followed by
+    stripping the integer content, so coefficients stay at
+    Gaussian-elimination size; because every polynomial is
+    weighted-homogeneous the working position walks through the finitely
+    many exponents of one graded piece, so reduction is short.
     Terms are taken smallest first off a heap of packed keys.  A step at key
     k only adds keys above k, so a term found irreducible stays below every
     later lead and is never looked at again.  Every term of the result is
-    head-irreducible against the basis.
+    head-irreducible against the basis, and common powers of the grading
+    variable are divided out of it.  Returns (work, steps): each step
+    (t, m, a, b, c) records that work became (a*work - b*x^m*t.poly)/c, from
+    which ``_cofactors`` rebuilds the combination.
     """
-    n = packing.n
     guard = packing.guard
     heads = [(b.lead, b) for b in reducers]
     heap = list(work)
     heapify(heap)
-    steps = 0
+    steps = []
     while heap:
         lm = heappop(heap)
         if lm not in work:
@@ -604,21 +560,11 @@ def _hreduce(work, cert, tpow, reducers, packing: _Packing, limits: ResourceLimi
             continue
         m = lm - head
         work, a, b = _submul(work, t.lc, work[lm], m, t.poly, heap)
-        if cert is not None:
-            m_exp = packing.unpack(m)
-            cert = [
-                ck.scale(a) - tk.mul_term(b, m_exp)
-                for ck, tk in zip(_tshift(cert, n, t.tpow), _tshift(t.cert, n, tpow))
-            ]
-            tpow += t.tpow
-        if work:
-            content = _int_content(work)
-            if content not in (1, -1):
-                work = {e: v // content for e, v in work.items()}
-                if cert is not None:
-                    cert = [ck.scale(Fraction(1, content)) for ck in cert]
-        steps += 1
-        if steps > limits.max_reductions:
+        content = _int_content(work) if work else 1
+        if content != 1:
+            work = {e: v // content for e, v in work.items()}
+        steps.append((t, m, a, b, content))
+        if len(steps) > limits.max_reductions:
             raise ResourceLimitError("max_reductions", limits.max_reductions)
         if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
@@ -628,8 +574,47 @@ def _hreduce(work, cert, tpow, reducers, packing: _Packing, limits: ResourceLimi
         tmin = min(e & mask for e in work)
         if tmin:
             work = {e - tmin: v for e, v in work.items()}
-            tpow += tmin
-    return work, cert, tpow
+    return work, steps
+
+
+def _cofactors(steps, packing: _Packing, scale, start=()):
+    """Local-ring cofactors of what ``_hreduce`` took off, from its steps.
+
+    Each step (t, m, a, b, c) made work (a*work - b*x^m*t.poly)/c.  With
+    lam_r the product of a/c over the first r steps this telescopes to
+
+        work_end = lam * (work_start - sum_r beta_r * x^(m_r) * t_r.poly),
+        beta_r = b_r / (a_r * lam_(r-1)),
+
+    lam being the product over all steps.  Returns, as in ``_HElement.cof``,
+    the combination of scale * sum_r beta_r * x^(m_r) * t_r.poly plus the
+    sum of coeff * x^m * elem.poly over the (coeff, packed m, elem) triples
+    of ``start``, summed from the elements' own cofactors.  Evaluating the
+    grading variable at 1 is a ring map, so only the x-part of each m counts.
+    """
+    n = packing.n
+    terms = list(start)
+    for t, m, a, b, c in steps:
+        # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
+        terms.append((scale * b / a, m, t))
+        if a != c:
+            scale = scale * c / a
+    cof: dict = {}
+    for coeff, m, elem in terms:
+        shift = packing.unpack(m)[:n]
+        for k, ck in elem.cof.items():
+            acc = cof.setdefault(k, {})
+            for e, v in ck.items():
+                key = tuple(map(add, e, shift))
+                v = coeff * v
+                old = acc.get(key)
+                if old is not None:
+                    v += old
+                    if not v:
+                        del acc[key]
+                        continue
+                acc[key] = v
+    return cof
 
 
 def _complete(
@@ -653,14 +638,7 @@ def _complete(
     if not generators:
         return CompletionResult((), () if certificates else None)
 
-    packing, basis, contents = _homogenize(generators, order)
-    if certificates:
-        hzero = Poly.zero(n + 1)
-        for k, b in enumerate(basis):
-            b.cert = [
-                Poly.constant(n + 1, 1 / contents[k]) if i == k else hzero
-                for i in range(len(generators))
-            ]
+    packing, basis, _ = _homogenize(generators, order)
 
     pairs: dict = {}  # (i, j) -> (lcm grade, creation counter, packed lcm)
     counter = 0
@@ -739,21 +717,16 @@ def _complete(
         sp, a, b = _spair(bi, bj, gamma)
         if not sp:
             continue
-        cert = None
-        if certificates:
-            mi, mj = packing.unpack(gamma - bi.lead), packing.unpack(gamma - bj.lead)
-            cert = [
-                ck.mul_term(a, mi) - cl.mul_term(b, mj)
-                for ck, cl in zip(
-                    _tshift(bi.cert, n, bj.tpow), _tshift(bj.cert, n, bi.tpow)
-                )
-            ]
-        sp, cert, tpow = _hreduce(
-            sp, cert, bi.tpow + bj.tpow, reducers, packing, limits
-        )
+        sp, steps = _hreduce(sp, reducers, packing, limits)
         if not sp:
             continue
-        basis.append(_HElement(sp, packing, tpow, cert))
+        cof = None
+        if certificates:
+            # the new element is lam * (s-pair - sum_r beta_r ...), see _cofactors
+            lam = prod(Fraction(a, c) for _, _, a, _, c in steps)
+            start = [(a * lam, gamma - bi.lead, bi), (-b * lam, gamma - bj.lead, bj)]
+            cof = _cofactors(steps, packing, -lam, start)
+        basis.append(_HElement(sp, packing, cof))
         push_pairs(len(basis) - 1)
 
     # back to the local world: evaluate the grading variable at 1 and scale
@@ -776,8 +749,8 @@ def _complete(
             scale = Fraction(1, lc)
             out_certs.append(
                 tuple(
-                    Poly(n, [(e[:n], v) for e, v in ck.items()]).scale(scale)
-                    for ck in b.cert
+                    Poly(n, {e: v * scale for e, v in b.cof.get(k, {}).items()})
+                    for k in range(len(generators))
                 )
             )
 

@@ -328,6 +328,35 @@ def test_json_syntax_error_has_position(tmp_path):
     assert (report["error"]["line"], report["error"]["column"]) == (3, 1)
 
 
+def _without(field):
+    job = base_job()
+    del job[field]
+    return job
+
+
+STRUCTURAL_ERRORS = [
+    base_job(command=[[["x1"]]]),
+    base_job(ordering={"weights": [0, 1], "tiebreak": "reverse"}),
+    base_job(parameters={"eta_max": "four"}),
+    base_job(command="hs", parameters={"eta_max": -1}),
+    _without("command"),
+    _without("variables"),
+]
+
+
+@pytest.mark.parametrize(
+    "job",
+    STRUCTURAL_ERRORS,
+    ids=["command", "weights", "parameter", "range", "no-command", "no-variables"],
+)
+def test_structural_error_has_no_position(tmp_path, job):
+    path = write_job(tmp_path / "structural.json", **job)
+    report, code = run_job(path)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert "line" not in report["error"] and "column" not in report["error"]
+
+
 LATIN1_JOB = b'{"variables": ["x1"], "command": "diagram", "ideal": ["x1\xe9"]}'
 DEEP_JOB = b"[" * 100_000 + b"]" * 100_000
 

@@ -12,6 +12,7 @@ from germlab import (
     degree_order,
     diagram_of_ideal,
     hilbert_samuel,
+    ideal_membership,
     initial_exponent,
     initial_form,
     invert_matrix,
@@ -221,3 +222,24 @@ def test_hs_matches_oracle_small():
         )
         d = diagram_of_ideal(I, degree_order(n, REVERSE))
         assert hilbert_samuel(d, 6) == oracle_hs(I, 6)
+
+
+def test_becker_failure_witness_in_ideal_outside_staircase():
+    # raw generator lists are rarely standard bases, so most checks fail
+    rng = make_rng("becker-witness")
+    failures = 0
+    for _ in range(30):
+        gens = [random_poly(rng, 2) for _ in range(rng.randint(2, 3))]
+        for tiebreak in (REVERSE, FORWARD):
+            order = degree_order(2, tiebreak)
+            result = becker_check(gens, order)
+            if result.ok:
+                continue
+            failures += 1
+            _, _, witness = result.failure
+            assert ideal_membership(witness, IdealPresentation(2, gens), order)
+            head = initial_exponent(witness, order)
+            assert not any(
+                exp_divides(initial_exponent(g, order), head) for g in gens
+            )
+    assert failures >= 30

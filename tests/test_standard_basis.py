@@ -113,6 +113,14 @@ def test_becker_failure_witness():
     assert remainder == p("-x2^4")
 
 
+def test_becker_witness_undoes_step_scaling():
+    # s = 2*x2*f - 3*x1*g = -13*x1*x2^2; taking -13/2*x2*g off leaves
+    # 39/2*x2^3, which no head divides.  The graded step multiplies by 2
+    # and strips the content 39; the witness must undo both.
+    res = becker_check([p("3*x1^2 - 2*x1*x2"), p("3*x2^2 + 2*x1*x2")], REV)
+    assert res.failure == (0, 1, p("39/2*x2^3"))
+
+
 def test_completion_worked_examples():
     assert standard_basis_complete(
         IdealPresentation(2, [p("x1^2 - x2^3")]), REV
@@ -207,6 +215,18 @@ def test_reduction_limits_reported(limits, bound):
         standard_basis_complete(_three_generator_ideal(), degree_order(3, REVERSE), limits)
     assert info.value.bound == bound
     assert info.value.limit == getattr(limits, bound)
+
+
+def test_becker_graded_path_enforces_max_terms():
+    order = degree_order(3, REVERSE)
+    basis = standard_basis_complete(_three_generator_ideal(), order)
+    settled = becker_check(basis, order)
+    one = Poly.constant(3, 1)
+    assert settled.ok
+    assert all(rep is None or rep.unit == one for _, _, rep in settled.representations)
+    with pytest.raises(ResourceLimitError) as info:
+        becker_check(basis, order, ResourceLimits(max_terms=3))
+    assert info.value.bound == "max_terms"
 
 
 def test_completion_cache_upgrades():
