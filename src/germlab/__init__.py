@@ -16,6 +16,7 @@ from .diagram import (
     has_axis_vertices,
     hilbert_samuel,
     product_structure,
+    staircase_dimension,
     vertices_from_exponents,
 )
 from .errors import (

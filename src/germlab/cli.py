@@ -282,7 +282,6 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
         trials=job.param("trials", 0),
         rng_seed=seed,
         coefficient_range=job.param("coefficient_range", 5),
-        order=job.order,
     )
     if cmd == "determinacy-exp":
         return determinacy_experiment(ideal, job.map_germ(), spec, eta_max, limits).as_dict()

@@ -10,6 +10,7 @@ Hilbert-Samuel data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .orders import PositiveLinearForm, degree_form, exp_divides
 
@@ -165,6 +166,20 @@ def axis_vertex_prefix(d: Diagram) -> int:
     while k < d.n and has_axis_vertices(d, k + 1):
         k += 1
     return k
+
+
+def staircase_dimension(d: Diagram) -> int:
+    """Dimension of the monomial quotient: the largest |S| such that no
+    vertex is supported inside the coordinate set S.
+
+    n for the empty diagram; -1 when the origin is a vertex (unit ideal).
+    """
+    supports = [{i for i, e in enumerate(v) if e} for v in d.vertices]
+    for size in range(d.n, -1, -1):
+        for s in map(set, combinations(range(d.n), size)):
+            if not any(sup <= s for sup in supports):
+                return size
+    return -1
 
 
 def product_structure(d: Diagram, k: int):

@@ -1,11 +1,11 @@
 """Germ-level verdicts: dimension, Cohen-Macaulay certificates, flatness,
 effective determinacy bounds and tangent cones.
 
-Genericity of linear coordinate changes is realized by seeded random
-integer matrices with a stabilization protocol: the verdict must survive a
-configured number of consecutive independent samples without improving.
-Every verdict records the witness matrix and the seed, so it can be
-re-checked deterministically.
+Dimensions are exact: each is read off the degree-order diagram in the
+original coordinates.  Only the witness coordinates, in which the first
+n - dim axes carry vertices, come from a search over seeded integer
+matrices, which stops at the first witness.  Every verdict records the
+witness matrix and the seed, so it can be re-checked deterministically.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .diagram import (
     axis_vertex_prefix,
     hilbert_samuel,
     product_structure,
+    staircase_dimension,
 )
 from .errors import DimensionMismatchError, NotFlatError, UnitIdealError
 from .orders import REVERSE, LocalOrder, PositiveLinearForm, degree_order
@@ -56,6 +57,10 @@ class MapGerm:
     @property
     def m(self) -> int:
         return len(self.components)
+
+
+# coordinate changes tried for a witness, the identity included
+_WITNESS_TRIALS = 60
 
 
 def _identity(n: int):
@@ -102,10 +107,11 @@ def _changed_ideal(ideal: IdealPresentation, matrix) -> IdealPresentation:
 
 @dataclass(frozen=True)
 class DimensionResult:
-    """Output of the randomized dimension protocol.
+    """Exact dimension plus a coordinate change that witnesses it.
 
-    ``dim`` is exact once ``stabilized`` is true; otherwise it is only an
-    upper bound (some generic change might still expose more axis vertices).
+    ``dim`` comes from the degree-order diagram in the original coordinates
+    and is always exact.  ``stabilized`` is true when ``change`` is a
+    witness: its ``diagram`` has vertices on the first n - dim axes.
     """
 
     dim: int
@@ -131,55 +137,41 @@ class DimensionResult:
 def dimension_at_origin(
     ideal: IdealPresentation,
     rng_seed: int,
-    max_trials: int = 60,
-    stable_runs: int = 6,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> DimensionResult:
-    """dim K{x}/I as n minus the best consecutive-axis vertex count seen.
+    """dim K{x}/I from the diagram, and the first witness change found.
 
-    The identity and two fixed totally-positive matrices go first, then
-    random invertible integer matrices from a growing entry range.  A
-    vertex on each of the first k axes certifies dim <= n-k for any
-    witness, and a generic change achieves the maximum, so the best k over
-    trials converges from below; the verdict is accepted once k reaches n
-    or survives ``stable_runs`` consecutive random trials unimproved.
+    The dimension is the staircase dimension of the degree-order diagram
+    (the degree of the Hilbert-Samuel polynomial).  The identity and two
+    fixed totally-positive matrices go first, then random invertible
+    integer matrices from a growing entry range, until some change puts
+    vertices on the first n - dim axes.  Without a witness within
+    ``_WITNESS_TRIALS`` changes, the one with the most axis vertices is
+    reported.
     """
     order = degree_order(ideal.n, REVERSE)
-    if not is_proper(ideal, order, limits):
-        raise UnitIdealError("dimension of the unit ideal is undefined")
     n = ideal.n
+    d = diagram_of_ideal(ideal, order, limits)
+    dim = staircase_dimension(d)
+    if dim < 0:
+        raise UnitIdealError("dimension of the unit ideal is undefined")
     rng = make_rng(rng_seed, "dimension-at-origin")
     fixed = _fixed_changes(n)
-    best_k = -1
     best = None
-    since_improved = 0
-    trials = 0
-    for trial in range(max_trials):
-        trials = trial + 1
-        if trial == 0:
-            matrix = fixed[0]
-            d = diagram_of_ideal(ideal, order, limits)
+    for trial in range(_WITNESS_TRIALS):
+        if trial < len(fixed):
+            matrix = fixed[trial]
         else:
-            if trial < len(fixed):
-                matrix = fixed[trial]
-            else:
-                matrix = _random_invertible(rng, n, 2 + (trial - len(fixed)) // 2)
+            matrix = _random_invertible(rng, n, 2 + (trial - len(fixed)) // 2)
+        if trial:  # trial 0 is the identity: d is the original diagram
             d = diagram_of_ideal(_changed_ideal(ideal, matrix), order, limits)
         k = axis_vertex_prefix(d)
-        if k > best_k:
-            best_k, best = k, (matrix, d)
-            since_improved = 0
-        elif trial >= len(fixed):
-            since_improved += 1
-        if best_k == n:
+        if best is None or k > best[0]:
+            best = (k, matrix, d)
+        if k == n - dim:
             break
-        if since_improved >= stable_runs:
-            break
-    stabilized = best_k == n or since_improved >= stable_runs
-    matrix, d = best
-    return DimensionResult(
-        n - best_k, best_k, matrix, d, stabilized, trials, rng_seed
-    )
+    k, matrix, d = best
+    return DimensionResult(dim, k, matrix, d, k == n - dim, trial + 1, rng_seed)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ def _position(text: str, pos: int):
     return line, column
 
 
+def _is_digit(ch: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²' and '٣'."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -41,18 +46,21 @@ class _Scanner:
     def take_integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected a digit")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond the interpreter's int-string limit
+            self.error(f"integer of {self.pos - start} digits is too long", start)
 
     def take_variable(self, n: int) -> int:
         """Consume x<k> and return the 0-based variable index."""
         self.skip_ws()
         at = self.pos
         self.pos += 1  # the 'x'
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        if self.pos >= len(self.text) or not _is_digit(self.text[self.pos]):
             self.error("expected a variable index after 'x'", at)
         k = self.take_integer()
         if not 1 <= k <= n:
@@ -89,7 +97,7 @@ def _parse_term(sc: _Scanner, n: int):
     exp = [0] * n
     saw_factor = False
     ch = sc.peek()
-    if ch.isdigit():
+    if _is_digit(ch):
         num = sc.take_integer()
         den = 1
         if sc.peek() == "/":

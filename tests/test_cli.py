@@ -391,3 +391,65 @@ def test_suite_survives_out_of_range_job(tmp_path, capsys):
     for name in ("a-bad", "a-latin1", "a-deep"):
         bad = json.loads((out / f"{name}.report.json").read_text(encoding="utf-8"))
         assert bad["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_weighted_job_tails_vanish_to_total_degree_mu(tmp_path, seed):
+    # weight 3 on x1 used to admit the tail x1 (weight 3 >= mu + 1, degree
+    # 1), which changes the fibre below the guaranteed total-degree bound
+    path = write_job(
+        tmp_path / "weighted-exp.json",
+        **base_job(
+            ordering={"weights": [3, 1], "tiebreak": "reverse"},
+            ideal=["x2^2"],
+            map=["x1"],
+            command="determinacy-exp",
+            parameters={
+                "seed": seed,
+                "mu": 2,
+                "trials": 10,
+                "tail_degree_max": 3,
+                "coefficient_range": 1,
+            },
+        ),
+    )
+    report, code = run_job(path)
+    assert code == 0
+    result = report["result"]
+    assert result["guaranteed"] is True
+    assert result["passes"] == 10 and result["defect"] is False
+
+
+BAD_DIGITS = [
+    ("x²", 1),  # superscript two as a variable index
+    ("x1^²", 4),  # superscript two as a power
+    ("٣*x1", 1),  # Arabic-Indic three as a coefficient
+    ("1" * 5000 + "*x1", 1),  # beyond the interpreter's int-string limit
+    ("x1 + " + "7" * 5000, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "text,column", BAD_DIGITS, ids=["index", "power", "coeff", "long", "long-later"]
+)
+def test_bad_digits_are_parse_errors(tmp_path, text, column):
+    path = write_job(tmp_path / "digits.json", **base_job(ideal=[text]))
+    report, code = run_job(path)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["message"].startswith("ideal[0]: ")
+    assert (report["error"]["line"], report["error"]["column"]) == (1, column)
+
+
+def test_suite_survives_bad_digit_job(tmp_path):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    write_job(jobs / "a-bad.json", **base_job(ideal=["x1^²"]))
+    write_job(jobs / "b-good.json", **base_job())
+    aggregate, code = run_suite(jobs, out_dir=tmp_path / "out")
+    assert code == 1
+    by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
+    assert by_name == {"a-bad.json": 2, "b-good.json": 0}
+    good = json.loads((tmp_path / "out" / "b-good.report.json").read_text(encoding="utf-8"))
+    assert good["result"]["vertices"] == [[1, 1]]

@@ -9,6 +9,7 @@ from germlab import (
     has_axis_vertices,
     hilbert_samuel,
     product_structure,
+    staircase_dimension,
     vertices_from_exponents,
 )
 from germlab.seeding import make_rng
@@ -153,3 +154,27 @@ def test_monotone_under_added_exponent():
     for eta in range(8):
         assert complement_count(bigger, form, eta) <= complement_count(d, form, eta)
     assert bigger.contains(d)
+
+
+def test_staircase_dimension_examples():
+    assert staircase_dimension(Diagram(3)) == 3
+    assert staircase_dimension(Diagram(2, frozenset({(1, 1)}))) == 1  # x1*x2
+    assert staircase_dimension(Diagram(2, frozenset({(1, 0), (0, 1)}))) == 0  # (x1, x2)
+    # (x1*x2, x1*x3): the plane x1 = 0
+    assert staircase_dimension(Diagram(3, frozenset({(1, 1, 0), (1, 0, 1)}))) == 2
+    assert staircase_dimension(Diagram(2, frozenset({(0, 0)}))) == -1  # unit ideal
+
+
+def test_staircase_dimension_is_the_hilbert_samuel_degree():
+    # H(eta) of a quotient of dimension d grows like eta^d: the differences
+    # of order d of the complement counts settle at a positive constant
+    rng = make_rng("staircase-dimension")
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        d = vertices_from_exponents([e for e in exps if any(e)] or [(1,) * n], n)
+        dim = staircase_dimension(d)
+        values = hilbert_samuel(d, 16).to_list()
+        for _ in range(dim):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values[-1] == values[-2] > 0, d

@@ -13,6 +13,7 @@ from germlab import (
     parse_poly,
     perturb,
 )
+from germlab import experiments, germs
 from germlab.experiments import tail_candidates
 
 
@@ -118,3 +119,25 @@ def test_reports_reproducible():
     a = determinacy_experiment(I, phi, spec_for(2, trials=5, seed=9)).as_dict()
     b = determinacy_experiment(I, phi, spec_for(2, trials=5, seed=9)).as_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("experiment", [determinacy_experiment, approximation_experiment])
+def test_trials_run_no_dimension_search(monkeypatch, experiment):
+    # only the baseline verdict searches for witness coordinates; each
+    # trial reads its flatness off the diagrams it computes anyway
+    calls = []
+    original = germs.dimension_at_origin
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(germs, "dimension_at_origin", counting)
+    monkeypatch.setattr(experiments, "dimension_at_origin", counting, raising=False)
+    I = IdealPresentation(2, [p("x1^2 - x2^3")])
+    phi = MapGerm(2, (p("x2"),))
+    experiment(I, phi, spec_for(3, trials=0, seed=5))
+    baseline = len(calls)
+    report = experiment(I, phi, spec_for(3, trials=4, seed=5))
+    assert report.all_pass and len(report.trials) == 4
+    assert len(calls) == 2 * baseline

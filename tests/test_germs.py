@@ -20,7 +20,8 @@ from germlab import (
     tangent_cone_ideal,
     tangent_cones_equal,
 )
-from germlab import standard_basis
+from germlab import germs, standard_basis
+from germlab.diagram import axis_vertex_prefix
 from germlab.seeding import make_rng
 
 from _corpus import random_poly
@@ -54,9 +55,68 @@ def test_dimension_reseed_invariance():
 
 
 def test_dimension_axis_arithmetic():
-    res = dimension_at_origin(ideal("x1*x2"), 3)
+    # the identity leaves x1*x2 with no axis vertex; the Pascal matrix,
+    # the second change tried, is a witness and ends the search
+    I = ideal("x1*x2")
+    order = degree_order(2, REVERSE)
+    assert axis_vertex_prefix(diagram_of_ideal(I, order)) == 0
+    res = dimension_at_origin(I, 3)
     assert res.dim + res.axis_count == 2
     assert res.stabilized
+    assert res.trials == 2
+    assert res.change == ((1, 1), (1, 2))
+    assert axis_vertex_prefix(diagram_of_ideal(germs._changed_ideal(I, res.change), order)) == 1
+
+
+def test_dimension_needs_no_change_when_the_identity_is_a_witness():
+    for I in (ideal("x1", "x2"), IdealPresentation(2, []), ideal("x1^2 - x2^3")):
+        res = dimension_at_origin(I, 1)
+        assert res.trials == 1 and res.stabilized
+        assert res.change == ((1, 0), (0, 1))
+
+
+def _stabilized_dimension(ideal, rng_seed, max_trials=60, stable_runs=6):
+    """The search that used to decide the dimension: the best axis-vertex
+    count over changes, accepted once it reaches n or survives stable_runs
+    consecutive random changes unimproved."""
+    order = degree_order(ideal.n, REVERSE)
+    n = ideal.n
+    rng = make_rng(rng_seed, "dimension-at-origin")
+    fixed = germs._fixed_changes(n)
+    best_k, best, since_improved = -1, None, 0
+    for trial in range(max_trials):
+        if trial < len(fixed):
+            matrix = fixed[trial]
+        else:
+            matrix = germs._random_invertible(rng, n, 2 + (trial - len(fixed)) // 2)
+        d = diagram_of_ideal(germs._changed_ideal(ideal, matrix), order)
+        k = axis_vertex_prefix(d)
+        if k > best_k:
+            best_k, best, since_improved = k, (matrix, d), 0
+        elif trial >= len(fixed):
+            since_improved += 1
+        if best_k == n or since_improved >= stable_runs:
+            break
+    matrix, d = best
+    return n - best_k, matrix, d
+
+
+def test_dimension_matches_the_stabilization_protocol():
+    rng = make_rng("dimension-vs-stabilization")
+    dims, searched = set(), 0
+    for trial in range(160):
+        n = 2 + trial % 2
+        gens = [random_poly(rng, n, max_degree=3, max_terms=3) for _ in range(rng.randint(1, n))]
+        I = IdealPresentation(n, gens)
+        seed = rng.randint(1, 10**6)
+        res = dimension_at_origin(I, seed)
+        assert (res.dim, res.change, res.diagram) == _stabilized_dimension(I, seed), gens
+        assert res.stabilized
+        dims.add((n, res.dim))
+        searched += res.trials > 1
+    # every dimension below n occurs, and many cases needed a search
+    assert dims == {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+    assert searched >= 40
 
 
 def test_map_germ_validation():
