@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -237,14 +238,14 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
         return report.as_dict()
 
     if cmd == "flat-check":
+        verdict = flatness_check(ideal, job.map_germ(), seed, eta_max, limits=limits)
         if "l_max" in job.params:
-            cm = cm_certify(ideal, job.param("l_max"), seed, limits=limits)
+            # certify in the witness coordinates of the verdict's domain search
+            cm = cm_certify(
+                ideal, job.param("l_max"), seed, dimension=verdict.domain_result, limits=limits
+            )
             evidence = f"certified(l={cm.l})" if cm.certified else "not-certified"
-        else:
-            evidence = "asserted"
-        verdict = flatness_check(
-            ideal, job.map_germ(), seed, eta_max, cm_evidence=evidence, limits=limits
-        )
+            verdict = replace(verdict, cm_evidence=evidence)
         return verdict.as_dict()
 
     if cmd == "determinacy-order":
@@ -348,6 +349,17 @@ def run_job(path, limits: ResourceLimits | None = None):
         envelope.update(
             status="error",
             error={"kind": "resource", "bound": exc.bound, "limit": exc.limit},
+        )
+        return envelope, 2
+    except RecursionError:
+        # the recursive staircase enumerations go one level per variable
+        envelope.update(
+            status="error",
+            error={
+                "kind": "resource",
+                "bound": "recursion_depth",
+                "limit": sys.getrecursionlimit(),
+            },
         )
         return envelope, 2
     except ParseError as exc:

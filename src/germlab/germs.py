@@ -28,9 +28,9 @@ from .standard_basis import (
     DEFAULT_LIMITS,
     IdealPresentation,
     ResourceLimits,
+    cone_contains,
     diagram_of_ideal,
     is_proper,
-    weak_normal_form,
 )
 
 
@@ -377,9 +377,10 @@ def tangent_cones_equal(
     For the degree order the initial forms of a standard basis are a
     standard basis of the tangent cone, so each cone has the diagram of its
     ideal and no cone needs completing.  Two homogeneous ideals with equal
-    diagrams, one contained in the other, are equal; containment is checked
-    by dividing cone b's generators by cone a's, which homogeneous input
-    (ecart 0) lets run without units.
+    diagrams, one contained in the other, are equal.  Containment runs on
+    the packed integer kernel: cone a's generators, homogeneous, are a
+    Groebner basis of the graded cone, and ``cone_contains`` fully reduces
+    each of cone b's generators against them.
     """
     if ideal_a.n != ideal_b.n:
         raise DimensionMismatchError("ideals on different ambient sizes")
@@ -388,10 +389,7 @@ def tangent_cones_equal(
     gens_b = tangent_cone_ideal(ideal_b, order, limits)
     if diagram_of_ideal(ideal_a, order, limits) != diagram_of_ideal(ideal_b, order, limits):
         return False
-    return all(
-        weak_normal_form(g, gens_a, order, limits, certificates=False).remainder.is_zero
-        for g in gens_b
-    )
+    return cone_contains(gens_a, gens_b, order, limits)
 
 
 @dataclass(frozen=True)

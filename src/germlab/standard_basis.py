@@ -311,11 +311,15 @@ def becker_check(
 @dataclass
 class CompletionResult:
     """Completed basis plus, per element, its combination over the original
-    generators (an exact polynomial identity, re-expandable in tests).
-    Certificates are None when the completion ran in verdict-only mode."""
+    generators (an exact polynomial identity, re-expandable in tests), and
+    the diagram of the basis initial exponents.  Certificates are None when
+    the completion ran in verdict-only mode.  The diagram is None only on a
+    result rebuilt from a basis and certificates by a caller; every
+    completion sets it."""
 
     basis: tuple
     certificates: tuple | None  # certificates[k][i] multiplies generator i
+    diagram: Diagram | None = None
 
 
 class IdealPresentation:
@@ -636,7 +640,7 @@ def _complete(
     """
     n = order.n
     if not generators:
-        return CompletionResult((), () if certificates else None)
+        return CompletionResult((), () if certificates else None, Diagram(n))
 
     packing, basis, _ = _homogenize(generators, order)
 
@@ -754,8 +758,10 @@ def _complete(
                 )
             )
 
+    # the x-part of a graded lead is the local initial exponent of its element
+    diagram = vertices_from_exponents([basis[k].lm[:n] for k in keep], n)
     return CompletionResult(
-        tuple(out_basis), tuple(out_certs) if certificates else None
+        tuple(out_basis), tuple(out_certs) if certificates else None, diagram
     )
 
 
@@ -779,9 +785,25 @@ def diagram_of_ideal(
     ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> Diagram:
     """Diagram of initial exponents, from the completed basis heads."""
-    basis = ideal.completion(order, limits, certificates=False).basis
-    return vertices_from_exponents(
-        [initial_exponent(g, order) for g in basis], ideal.n
+    return ideal.completion(order, limits, certificates=False).diagram
+
+
+def cone_contains(
+    basis, forms, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
+) -> bool:
+    """True when every form lies in the ideal generated by ``basis``.
+
+    ``basis`` and ``forms`` are polynomials homogeneous for the order's
+    weights, and ``basis`` is a standard basis of its ideal, as the initial
+    forms of a standard basis are of a tangent cone.  Homogenized, every
+    term sits at grading variable 0, and inside one grade the packed order
+    is the local order; so ``basis`` is a Groebner basis of the graded ring
+    and ``_hreduce`` takes a form to zero exactly when it is a member.
+    """
+    packing, elems, _ = _homogenize([*basis, *forms], order)
+    reducers = elems[: len(basis)]
+    return not any(
+        _hreduce(f.poly, reducers, packing, limits)[0] for f in elems[len(basis) :]
     )
 
 
@@ -804,6 +826,5 @@ def is_proper(
     ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> bool:
     """True unless some completed basis element is a unit (head = origin)."""
-    origin = (0,) * ideal.n
-    basis = ideal.completion(order, limits, certificates=False).basis
-    return all(initial_exponent(g, order) != origin for g in basis)
+    diagram = ideal.completion(order, limits, certificates=False).diagram
+    return (0,) * ideal.n not in diagram.vertices

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from germlab import germs
 from germlab.cli import main, run_job, run_suite
+from germlab.seeding import derive_seed
 
 
 def write_job(path, **fields):
@@ -38,6 +40,33 @@ def test_flat_check_job(tmp_path):
     assert report["result"]["flat"] is True
     assert report["result"]["fibre_dimension"] == 0
     assert report["result"]["fibre_vertices"] == [[0, 2], [1, 0]]
+
+
+def test_flat_check_with_l_max_searches_the_domain_once(tmp_path, monkeypatch):
+    searched = []
+    original = germs.dimension_at_origin
+
+    def counting(ideal, rng_seed, **kwargs):
+        searched.append((len(ideal.generators), rng_seed))
+        return original(ideal, rng_seed, **kwargs)
+
+    monkeypatch.setattr(germs, "dimension_at_origin", counting)
+    path = write_job(
+        tmp_path / "flat.json",
+        **base_job(
+            ideal=["x1*x2"],
+            map=["x1-x2"],
+            command="flat-check",
+            parameters={"seed": 7, "l_max": 4},
+        ),
+    )
+    report, code = run_job(path)
+    assert code == 0
+    # one search on the domain, one on the fibre
+    assert searched == [(1, derive_seed(7, "flat-domain")), (2, derive_seed(7, "flat-fibre"))]
+    result = report["result"]
+    assert result["cm_evidence"] == "certified(l=1)"
+    assert result["domain"]["seed"] == derive_seed(7, "flat-domain")
 
 
 def test_hs_job(tmp_path):
@@ -451,5 +480,39 @@ def test_suite_survives_bad_digit_job(tmp_path):
     assert code == 1
     by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
     assert by_name == {"a-bad.json": 2, "b-good.json": 0}
+    good = json.loads((tmp_path / "out" / "b-good.report.json").read_text(encoding="utf-8"))
+    assert good["result"]["vertices"] == [[1, 1]]
+
+
+# 500 variables: the staircase enumerations recurse once per variable,
+# beyond the interpreter's default depth (400 still fit)
+DEEP_HS_JOB = base_job(
+    variables=[f"x{i + 1}" for i in range(500)],
+    ordering={"weights": [1] * 500, "tiebreak": "reverse"},
+    ideal=["x1"],
+    command="hs",
+    parameters={"eta_max": 2},
+)
+
+
+def test_recursion_overflow_is_a_resource_error(tmp_path):
+    report, code = run_job(write_job(tmp_path / "deep.json", **DEEP_HS_JOB))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["kind"] == "resource"
+    assert report["error"]["bound"] == "recursion_depth"
+
+
+def test_suite_survives_recursion_overflow(tmp_path):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    write_job(jobs / "a-deep.json", **DEEP_HS_JOB)
+    write_job(jobs / "b-good.json", **base_job())
+    aggregate, code = run_suite(jobs, out_dir=tmp_path / "out")
+    assert code == 1
+    by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
+    assert by_name == {"a-deep.json": 2, "b-good.json": 0}
+    deep = json.loads((tmp_path / "out" / "a-deep.report.json").read_text(encoding="utf-8"))
+    assert deep["error"]["bound"] == "recursion_depth"
     good = json.loads((tmp_path / "out" / "b-good.report.json").read_text(encoding="utf-8"))
     assert good["result"]["vertices"] == [[1, 1]]

@@ -16,6 +16,7 @@ from germlab import (
     parse_poly,
     s_series,
     standard_basis_complete,
+    vertices_from_exponents,
     weak_normal_form,
 )
 from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max
@@ -26,6 +27,9 @@ from germlab.standard_basis import (
     becker_check,
     is_proper,
 )
+from germlab.seeding import make_rng
+
+from _corpus import random_poly
 
 REV = degree_order(2, REVERSE)
 
@@ -173,9 +177,41 @@ def test_membership_with_unit():
 
 
 def test_is_proper():
-    assert is_proper(IdealPresentation(2, [p("x1")]), REV)
-    assert not is_proper(IdealPresentation(2, [p("1 + x1")]), REV)
-    assert is_proper(IdealPresentation(2, []), REV)
+    for order in (REV, degree_order(2, FORWARD), LocalOrder(PositiveLinearForm((2, 1)), FORWARD)):
+        assert is_proper(IdealPresentation(2, [p("x1")]), order)
+        assert is_proper(IdealPresentation(2, [p("x1 - x1^2"), p("x1*x2 + x2^3")]), order)
+        assert not is_proper(IdealPresentation(2, [p("1 + x1")]), order)
+        assert not is_proper(IdealPresentation(2, [p("x1*x2"), p("2 + x2")]), order)
+        assert is_proper(IdealPresentation(2, []), order)
+
+
+def _diagram_by_initial_exponents(ideal, order):
+    basis = standard_basis_complete(ideal, order)
+    return vertices_from_exponents([initial_exponent(g, order) for g in basis], ideal.n)
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 1, 1), (1, 2, 1)])
+def test_diagram_is_read_off_the_graded_leads(weights, tiebreak):
+    n = len(weights)
+    order = LocalOrder(PositiveLinearForm(weights), tiebreak)
+    rng = make_rng("diagram-from-leads", n)
+    for _ in range(25):
+        gens = [random_poly(rng, n, max_degree=4 if n == 2 else 3) for _ in range(rng.randint(1, 3))]
+        ideal = IdealPresentation(n, gens)
+        assert diagram_of_ideal(ideal, order) == _diagram_by_initial_exponents(ideal, order)
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+def test_diagram_after_widening(tiebreak):
+    order = degree_order(2, tiebreak)
+    single = IdealPresentation(2, [Poly(2, {(2**40, 0): 1, (0, 1): 1})])
+    # the lcm of these two leads outgrows the initial packing (see
+    # test_pair_crossing_the_packing_width), so _fit widens it mid-completion
+    big = 2**40 + 2
+    crossing = IdealPresentation(2, [Poly(2, {(0, 2): 1, (big, 0): 1}), Poly(2, {(big - 1, 1): 1})])
+    for ideal in (single, crossing):
+        assert diagram_of_ideal(ideal, order) == _diagram_by_initial_exponents(ideal, order)
 
 
 def test_generator_validation():
