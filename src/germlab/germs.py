@@ -236,8 +236,8 @@ def cm_certify(
 @dataclass(frozen=True)
 class FlatnessVerdict:
     """Dimension-route flatness verdict, valid under the CM hypothesis on
-    the domain; ``cm_evidence`` records whether CM was certified or merely
-    asserted by the caller."""
+    the domain.  ``flatness_check`` records ``cm_evidence`` as "asserted";
+    a caller that certifies CM replaces it with the certificate's outcome."""
 
     flat: bool
     fibre_dimension: int
@@ -280,7 +280,6 @@ def flatness_check(
     phi: MapGerm,
     rng_seed: int,
     eta_max: int = 8,
-    cm_evidence: str = "asserted",
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> FlatnessVerdict:
     """Flat iff dim of the special fibre drops by exactly m.
@@ -301,7 +300,7 @@ def flatness_check(
         domain_dimension=dom.dim,
         fibre_diagram=d,
         fibre_hs=hilbert_samuel(d, eta_max),
-        cm_evidence=cm_evidence,
+        cm_evidence="asserted",
         seed=rng_seed,
         domain_result=dom,
         fibre_result=fib,

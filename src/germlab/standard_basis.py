@@ -311,15 +311,11 @@ def becker_check(
 @dataclass
 class CompletionResult:
     """Completed basis plus, per element, its combination over the original
-    generators (an exact polynomial identity, re-expandable in tests), and
-    the diagram of the basis initial exponents.  Certificates are None when
-    the completion ran in verdict-only mode.  The diagram is None only on a
-    result rebuilt from a basis and certificates by a caller; every
-    completion sets it."""
+    generators (an exact polynomial identity, re-expandable in tests).
+    Certificates are None when the completion ran in verdict-only mode."""
 
     basis: tuple
     certificates: tuple | None  # certificates[k][i] multiplies generator i
-    diagram: Diagram | None = None
 
 
 class IdealPresentation:
@@ -328,7 +324,8 @@ class IdealPresentation:
     An empty generator list represents the zero ideal.  Caching is
     compute-once under a lock, so concurrent readers are safe; a cached
     verdict-only completion is upgraded in place when certificates are
-    requested later.
+    requested later.  Each cache entry holds the completion and the diagram
+    read off its graded leads.
     """
 
     def __init__(self, n: int, generators):
@@ -364,15 +361,23 @@ class IdealPresentation:
     ) -> CompletionResult:
         with self._lock:
             got = self._cache.get(order)
-        if got is not None and (got.certificates is not None or not certificates):
-            return got
-        result = _complete(self.generators, order, limits, certificates)
+        if got is not None and (got[0].certificates is not None or not certificates):
+            return got[0]
+        entry = _complete(self.generators, order, limits, certificates)
         with self._lock:
             cached = self._cache.get(order)
-            if cached is not None and cached.certificates is not None:
-                return cached
-            self._cache[order] = result
-            return result
+            if cached is not None and cached[0].certificates is not None:
+                return cached[0]
+            self._cache[order] = entry
+            return entry[0]
+
+    def diagram(
+        self, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
+    ) -> Diagram:
+        """Diagram of initial exponents of the completed basis."""
+        self.completion(order, limits, certificates=False)
+        with self._lock:
+            return self._cache[order][1]
 
 
 class _Packing:
@@ -623,7 +628,7 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
 
 def _complete(
     generators, order: LocalOrder, limits: ResourceLimits, certificates: bool
-) -> CompletionResult:
+) -> tuple:
     """Completion through the weighted-homogeneous Buchberger loop.
 
     The generators are homogenized with a grading variable, a Groebner-style
@@ -636,11 +641,12 @@ def _complete(
     combination over the original generators when certificates are
     requested.  Pairs are processed by smallest lcm weight first, ties by
     pair index, so output is a deterministic function of (generators,
-    order).
+    order).  Returns the ``CompletionResult`` and the diagram of the
+    basis initial exponents.
     """
     n = order.n
     if not generators:
-        return CompletionResult((), () if certificates else None, Diagram(n))
+        return CompletionResult((), () if certificates else None), Diagram(n)
 
     packing, basis, _ = _homogenize(generators, order)
 
@@ -760,9 +766,8 @@ def _complete(
 
     # the x-part of a graded lead is the local initial exponent of its element
     diagram = vertices_from_exponents([basis[k].lm[:n] for k in keep], n)
-    return CompletionResult(
-        tuple(out_basis), tuple(out_certs) if certificates else None, diagram
-    )
+    result = CompletionResult(tuple(out_basis), tuple(out_certs) if certificates else None)
+    return result, diagram
 
 
 def standard_basis_complete(
@@ -784,8 +789,8 @@ def standard_basis_complete(
 def diagram_of_ideal(
     ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> Diagram:
-    """Diagram of initial exponents, from the completed basis heads."""
-    return ideal.completion(order, limits, certificates=False).diagram
+    """Diagram of initial exponents, read off the completion's graded leads."""
+    return ideal.diagram(order, limits)
 
 
 def cone_contains(
@@ -826,5 +831,4 @@ def is_proper(
     ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> bool:
     """True unless some completed basis element is a unit (head = origin)."""
-    diagram = ideal.completion(order, limits, certificates=False).diagram
-    return (0,) * ideal.n not in diagram.vertices
+    return (0,) * ideal.n not in ideal.diagram(order, limits).vertices

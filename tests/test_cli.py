@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from germlab import germs
+from germlab import cli, germs
 from germlab.cli import main, run_job, run_suite
 from germlab.seeding import derive_seed
 
@@ -484,29 +484,33 @@ def test_suite_survives_bad_digit_job(tmp_path):
     assert good["result"]["vertices"] == [[1, 1]]
 
 
-# 500 variables: the staircase enumerations recurse once per variable,
-# beyond the interpreter's default depth (400 still fit)
-DEEP_HS_JOB = base_job(
-    variables=[f"x{i + 1}" for i in range(500)],
-    ordering={"weights": [1] * 500, "tiebreak": "reverse"},
-    ideal=["x1"],
-    command="hs",
-    parameters={"eta_max": 2},
-)
+HS_JOB = base_job(command="hs", parameters={"eta_max": 2})
 
 
-def test_recursion_overflow_is_a_resource_error(tmp_path):
-    report, code = run_job(write_job(tmp_path / "deep.json", **DEEP_HS_JOB))
+def overflow_hs(monkeypatch):
+    """Make the hs command overflow the recursion limit, as the staircase
+    enumerations do on a few hundred variables."""
+
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "hilbert_samuel", deep)
+
+
+def test_recursion_overflow_is_a_resource_error(tmp_path, monkeypatch):
+    overflow_hs(monkeypatch)
+    report, code = run_job(write_job(tmp_path / "deep.json", **HS_JOB))
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["kind"] == "resource"
     assert report["error"]["bound"] == "recursion_depth"
 
 
-def test_suite_survives_recursion_overflow(tmp_path):
+def test_suite_survives_recursion_overflow(tmp_path, monkeypatch):
+    overflow_hs(monkeypatch)
     jobs = tmp_path / "jobs"
     jobs.mkdir()
-    write_job(jobs / "a-deep.json", **DEEP_HS_JOB)
+    write_job(jobs / "a-deep.json", **HS_JOB)
     write_job(jobs / "b-good.json", **base_job())
     aggregate, code = run_suite(jobs, out_dir=tmp_path / "out")
     assert code == 1

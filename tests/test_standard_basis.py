@@ -214,6 +214,24 @@ def test_diagram_after_widening(tiebreak):
         assert diagram_of_ideal(ideal, order) == _diagram_by_initial_exponents(ideal, order)
 
 
+def test_diagram_survives_a_rebuilt_completion(monkeypatch):
+    real = IdealPresentation.completion
+
+    def rebuilt(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        return type(result)(result.basis, result.certificates)
+
+    monkeypatch.setattr(IdealPresentation, "completion", rebuilt)
+    unit = IdealPresentation(2, [p("x1*x2"), p("2 + x2")])
+    proper = IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2")])
+    for ideal in (unit, proper):
+        # a certified completion is cached before the diagram is asked for
+        ideal.completion(REV, certificates=True)
+        assert diagram_of_ideal(ideal, REV) == _diagram_by_initial_exponents(ideal, REV)
+    assert not is_proper(unit, REV)
+    assert is_proper(proper, REV)
+
+
 def test_generator_validation():
     with pytest.raises(ZeroPolynomialError):
         IdealPresentation(2, [Poly.zero(2)])
