@@ -22,7 +22,7 @@ from .diagram import (
 )
 from .errors import DimensionMismatchError, NotFlatError, UnitIdealError
 from .orders import REVERSE, LocalOrder, PositiveLinearForm, degree_order
-from .poly import Poly, apply_linear_change, exact_det, initial_form
+from .poly import Poly, apply_linear_change, exact_det, initial_exponent, initial_form
 from .seeding import derive_seed, make_rng
 from .standard_basis import (
     DEFAULT_LIMITS,
@@ -30,7 +30,6 @@ from .standard_basis import (
     ResourceLimits,
     cone_contains,
     diagram_of_ideal,
-    is_proper,
 )
 
 
@@ -350,19 +349,27 @@ def tangent_cone_ideal(
     limits: ResourceLimits = DEFAULT_LIMITS,
 ):
     """Generators of the initial-form ideal: initial forms of a completed
-    standard basis, scaled monic on their initial coefficient."""
+    standard basis, scaled monic on their initial coefficient.
+
+    Only the first basis element whose initial exponent is each vertex of
+    the diagram is kept: those elements alone are a standard basis, so
+    their initial forms still generate the cone.
+    """
     if order is None:
         order = degree_order(ideal.n, REVERSE)
-    if not is_proper(ideal, order, limits):
+    vertices = set(ideal.diagram(order, limits).vertices)
+    if (0,) * ideal.n in vertices:
         raise UnitIdealError("tangent cone of the unit ideal is undefined")
     basis = ideal.completion(order, limits, certificates=False).basis
     out = []
     for g in basis:
+        lead = initial_exponent(g, order)
+        if lead not in vertices:
+            continue
+        vertices.remove(lead)
         form = initial_form(g)
         exp = min(form.exponents(), key=order.key)
-        form = form.scale(1 / form.coeff(exp))
-        if form not in out:
-            out.append(form)
+        out.append(form.scale(1 / form.coeff(exp)))
     return out
 
 

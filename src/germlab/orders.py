@@ -10,6 +10,7 @@ as unique minimum, compatible with exponent addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 
 from .errors import DimensionMismatchError
 
@@ -31,7 +32,7 @@ class PositiveLinearForm:
         if not self.weights:
             raise ValueError("a positive linear form needs at least one weight")
         for w in self.weights:
-            if not isinstance(w, int) or w < 1:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
         object.__setattr__(self, "weights", tuple(self.weights))
 
@@ -40,7 +41,7 @@ class PositiveLinearForm:
         return len(self.weights)
 
     def weight(self, exponent) -> int:
-        return sum(w * b for w, b in zip(self.weights, exponent))
+        return sum(map(mul, self.weights, exponent))
 
 
 def degree_form(n: int) -> PositiveLinearForm:
@@ -97,7 +98,7 @@ def compare_exponents(a, b, order: LocalOrder) -> int:
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def exp_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))

@@ -4,13 +4,18 @@ A polynomial is a finite map from exponent tuples to nonzero Fractions.
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between workers.  Floating
 point never appears: staircase and flatness verdicts downstream are
-discrete and must be exact.
+discrete and must be exact.  Storage stays Fraction-valued, but sums of
+products (``*`` and the re-expansion checks of the division and
+standard-basis results) run on integer numerators over one common
+denominator, and a Fraction is built only per output term.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import add, attrgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -165,20 +170,10 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_same_n(other)
-        res = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = exp_add(e1, e2)
-                acc = res.get(exp)
-                if acc is None:
-                    res[exp] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        res[exp] = acc
-                    else:
-                        del res[exp]
-        return _raw(self.n, res)
+        den, num = _products([(self, other)])
+        if den == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
+            return _raw(self.n, {e: Fraction(v) for e, v in num.items()})
+        return _raw(self.n, {e: Fraction(v, den) for e, v in num.items()})
 
     __rmul__ = __mul__
 
@@ -217,6 +212,46 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.n}, '{format_poly(self)}')"
+
+
+_denominator = attrgetter("denominator")
+
+
+def _products(pairs):
+    """Sum of p * q over (p, q) pairs on integer numerators.
+
+    Returns (den, num): the sum is num[e] / den at each exponent e, num
+    holds no zero, and den is a common denominator, not always the least.
+    Each operand's coefficients are brought over the lcm of their
+    denominators once, so the double loop multiplies ints only.
+    """
+    den = 1
+    operands = []
+    for p, q in pairs:
+        dp = lcm(*map(_denominator, p._terms.values()))
+        dq = lcm(*map(_denominator, q._terms.values()))
+        den = lcm(den, dp * dq)
+        operands.append((p._terms, dq, q._terms))
+    num: dict = {}
+    get = num.get
+    for left, dq, right in operands:
+        right = [(e, c.numerator * (dq // c.denominator)) for e, c in right.items()]
+        # den / dq is a multiple of every denominator of the left operand
+        f = den // dq
+        for e1, c1 in left.items():
+            c1 = c1.numerator * (f // c1.denominator)
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                acc = get(exp)
+                if acc is None:
+                    num[exp] = c1 * c2
+                else:
+                    acc += c1 * c2
+                    if acc:
+                        num[exp] = acc
+                    else:
+                        del num[exp]
+    return den, num
 
 
 def _raw(n: int, terms: dict) -> Poly:

@@ -25,13 +25,14 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_divides, exp_max, exp_sub
-from .poly import Poly, initial_exponent, initial_term
+from .orders import REVERSE, LocalOrder, exp_add, exp_divides, exp_max, exp_sub
+from .poly import Poly, _products, _raw, initial_exponent, initial_term
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,10 @@ class NormalFormResult:
     quotients: list | None
 
     def verify(self, subject: Poly, basis) -> bool:
-        """Re-expand unit*subject - sum(quotients*basis) - remainder to zero."""
-        acc = self.unit * subject
-        for q, g in zip(self.quotients, basis):
-            acc = acc - q * g
-        return (acc - self.remainder).is_zero
+        """Re-expand sum(quotients*basis) + remainder - unit*subject to zero."""
+        one = Poly.constant(subject.n, 1)
+        pairs = [*zip(self.quotients, basis), (self.remainder, one), (-self.unit, subject)]
+        return not _products(pairs)[1]
 
 
 def _content(p: Poly) -> Fraction:
@@ -217,23 +217,25 @@ class StandardRepresentation:
     unit: Poly
 
     def verify(self, basis) -> bool:
-        acc = self.unit * self.subject
-        for q, g in zip(self.quotients, basis):
-            acc = acc - q * g
-        return acc.is_zero
+        """Re-expand sum(quotients*basis) - unit*subject to zero."""
+        pairs = [*zip(self.quotients, basis), (-self.unit, self.subject)]
+        return not _products(pairs)[1]
 
     def inequality_holds(self, basis, order: LocalOrder) -> bool:
-        """inexp(subject) <= inexp(Q_i basis_i) for every nonzero product."""
+        """inexp(subject) <= inexp(Q_i basis_i) for every nonzero product.
+
+        inexp(Q_i basis_i) is inexp(Q_i) + inexp(basis_i): the order is
+        compatible with exponent addition and the coefficients have no zero
+        divisors, so no product is formed.
+        """
         if self.subject.is_zero:
             return True
         lead = order.key(initial_exponent(self.subject, order))
         for q, g in zip(self.quotients, basis):
-            if q.is_zero:
+            if q.is_zero or g.is_zero:
                 continue
-            prod = q * g
-            if prod.is_zero:
-                continue
-            if order.key(initial_exponent(prod, order)) < lead:
+            e = exp_add(initial_exponent(q, order), initial_exponent(g, order))
+            if order.key(e) < lead:
                 return False
         return True
 
@@ -285,7 +287,7 @@ def becker_check(
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
                 cof = _cofactors(steps, packing, scale)
-                quotients = [Poly(n, cof.get(k, {})) for k in range(len(basis))]
+                quotients = _cofactor_polys(n, cof, len(basis))
                 reps.append(
                     (i, j, StandardRepresentation(s, quotients, Poly.constant(n, 1)))
                 )
@@ -439,10 +441,11 @@ class _HElement:
 
     ``poly`` maps packed monomials to ints, ``lead`` is its smallest key and
     ``lm`` the same monomial as an exponent tuple for the pair update.
-    ``cof`` (when tracked) holds the element's cofactors in the local ring,
-    {generator index: {x-exponent: Fraction}}, with
+    ``cof`` (when tracked) holds the element's cofactors in the local ring
+    as integer numerators over their least common denominator,
+    (den, {generator index: {x-exponent: int}}), with
 
-        poly at t = 1  =  sum_k cof[k] * generator_k.
+        poly at t = 1  =  sum_k cof[k] * generator_k / den.
 
     Evaluating the grading variable t at 1 is a ring map, so cofactors never
     carry t, and powers of t divided out of ``poly`` leave them unchanged.
@@ -464,6 +467,7 @@ def _homogenize(polys, order: LocalOrder):
     Pads each term with a grading variable so every term reaches the top
     weight of its polynomial, and strips the rational content c, so each
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
+    With c = num / den, f's coefficients times den are ints divisible by num.
     Returns (packing, elements, contents); the packing is sized for the
     largest top weight.
     """
@@ -475,11 +479,12 @@ def _homogenize(polys, order: LocalOrder):
     contents = []
     for k, (f, top) in enumerate(zip(polys, tops)):
         content = _content(f)
+        num, den = content.numerator, content.denominator
         poly = {
-            packing.pack((*e, top - form.weight(e))): int(c / content)
+            packing.pack((*e, top - form.weight(e))): c.numerator * (den // c.denominator) // num
             for e, c in f.items()
         }
-        elems.append(_HElement(poly, packing, {k: {origin: 1 / content}}))
+        elems.append(_HElement(poly, packing, (num, {k: {origin: den}})))
         contents.append(content)
     return packing, elems, contents
 
@@ -600,6 +605,8 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     sum of coeff * x^m * elem.poly over the (coeff, packed m, elem) triples
     of ``start``, summed from the elements' own cofactors.  Evaluating the
     grading variable at 1 is a ring map, so only the x-part of each m counts.
+    The sum runs on ints over one common denominator, which is then cut to
+    the least one, the size the reduced Fractions would have.
     """
     n = packing.n
     terms = list(start)
@@ -608,14 +615,17 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
         terms.append((scale * b / a, m, t))
         if a != c:
             scale = scale * c / a
+    den = lcm(*[coeff.denominator * elem.cof[0] for coeff, _, elem in terms])
     cof: dict = {}
     for coeff, m, elem in terms:
+        eden, parts = elem.cof
+        mult = coeff.numerator * (den // (coeff.denominator * eden))
         shift = packing.unpack(m)[:n]
-        for k, ck in elem.cof.items():
+        for k, ck in parts.items():
             acc = cof.setdefault(k, {})
             for e, v in ck.items():
                 key = tuple(map(add, e, shift))
-                v = coeff * v
+                v *= mult
                 old = acc.get(key)
                 if old is not None:
                     v += old
@@ -623,7 +633,21 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
                         del acc[key]
                         continue
                 acc[key] = v
-    return cof
+    g = gcd(den, *chain.from_iterable(ck.values() for ck in cof.values()))
+    if g != 1:
+        den //= g
+        cof = {k: {e: v // g for e, v in ck.items()} for k, ck in cof.items()}
+    return den, cof
+
+
+def _cofactor_polys(n: int, cof, count: int, lc: int = 1) -> list:
+    """The ``count`` polynomials cof[k] / (den * lc) of a (den, parts) pair."""
+    den, parts = cof
+    den *= lc
+    return [
+        _raw(n, {e: Fraction(v, den) for e, v in parts.get(k, {}).items()})
+        for k in range(count)
+    ]
 
 
 def _complete(
@@ -749,20 +773,15 @@ def _complete(
     out_basis = []
     out_certs = []
     for b in (basis[k] for k in keep):
-        # the graded lead is the local initial term, so lc is its coefficient
+        # the graded lead is the local initial term, so lc is its coefficient;
+        # weight(x) + t is constant on b, so the x-parts are distinct
         lc = b.lc
-        p = Poly(n, [(packing.unpack(e)[:n], Fraction(v, lc)) for e, v in b.poly.items()])
+        p = _raw(n, {packing.unpack(e)[:n]: Fraction(v, lc) for e, v in b.poly.items()})
         if p in out_basis:
             continue
         out_basis.append(p)
         if certificates:
-            scale = Fraction(1, lc)
-            out_certs.append(
-                tuple(
-                    Poly(n, {e: v * scale for e, v in b.cof.get(k, {}).items()})
-                    for k in range(len(generators))
-                )
-            )
+            out_certs.append(tuple(_cofactor_polys(n, b.cof, len(generators), lc)))
 
     # the x-part of a graded lead is the local initial exponent of its element
     diagram = vertices_from_exponents([basis[k].lm[:n] for k in keep], n)

@@ -22,6 +22,7 @@ from germlab import (
 )
 from germlab import germs, standard_basis
 from germlab.diagram import axis_vertex_prefix
+from germlab.poly import initial_form
 from germlab.seeding import make_rng
 
 from _corpus import random_poly
@@ -205,6 +206,43 @@ def test_tangent_cone_examples():
     assert tangent_cone_ideal(ideal("x1", "x2")) == [p("x1"), p("x2")]
     for g in cone:
         assert g.total_degree() == g.min_total_degree()
+
+
+def test_tangent_cone_lists_one_generator_per_vertex():
+    I = ideal("x1^2 + x2^2 + x1*x3 + x3^4", "x2*x3^2 - x1^4", n=3)
+    cone = tangent_cone_ideal(I)
+    assert cone == [p("x1^2 + x2^2 + x1*x3", 3), p("x2*x3^2", 3)]
+    order = degree_order(3, REVERSE)
+    assert len(I.completion(order).basis) == 4  # two of them redundant
+
+
+def _all_initial_forms(I, order):
+    """The cone generators from every completed basis element, monic."""
+    out = []
+    for g in I.completion(order, certificates=False).basis:
+        form = initial_form(g)
+        exp = min(form.exponents(), key=order.key)
+        out.append(form.scale(1 / form.coeff(exp)))
+    return out
+
+
+def test_tangent_cone_subset_generates_the_same_cone():
+    rng = make_rng("cone-vertex-subset")
+    shrunk = 0
+    for trial in range(60):
+        n = 2 + trial % 2
+        gens = [random_poly(rng, n, max_degree=4, max_terms=3) for _ in range(rng.randint(1, 3))]
+        I = IdealPresentation(n, gens)
+        order = degree_order(n, REVERSE)
+        if not standard_basis.is_proper(I, order):
+            continue
+        old = _all_initial_forms(I, order)
+        new = tangent_cone_ideal(I, order)
+        assert standard_basis.cone_contains(new, old, order)
+        assert standard_basis.cone_contains(old, new, order)
+        assert len(new) == len(I.diagram(order).vertices)
+        shrunk += len(new) < len(old)
+    assert shrunk  # the property was tested on lists that did shrink
 
 
 def test_tangent_cones_equal_examples():

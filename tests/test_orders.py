@@ -17,6 +17,9 @@ def test_form_validation():
         PositiveLinearForm((1, 0))
     with pytest.raises(ValueError):
         PositiveLinearForm(())
+    for weights in [(True, 2), (1, False)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            PositiveLinearForm(weights)
     form = PositiveLinearForm((1, 3))
     assert form.weight((2, 1)) == 5
     assert form.weight((0, 0)) == 0

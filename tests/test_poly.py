@@ -20,6 +20,7 @@ from germlab import (
     jet_truncate,
     parse_poly,
 )
+from germlab.seeding import make_rng
 
 
 def p(text, n=2):
@@ -33,6 +34,45 @@ def test_arithmetic_basics():
     assert p("2*x1").scale(Fraction(1, 2)) == x
     assert (x * 0).is_zero
     assert -(x - y) == y - x
+
+
+def _product_by_double_loop(a, b):
+    """Reference product: every term pair multiplied as Fractions."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_product_matches_the_fraction_double_loop():
+    rng = make_rng("poly-products")
+    cancelled = 0
+    for trial in range(300):
+        n = 1 + trial % 3
+        polys = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                exp = tuple(rng.randint(0, 3) for _ in range(n))
+                terms[exp] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 9]))
+            polys.append(Poly(n, terms))
+        a, b = polys
+        if trial % 5 == 0 and not a.is_zero:
+            # (a + c)(a - c) = a^2 - c^2: the cross terms cancel
+            b = a - b
+            a = a + polys[1]
+        got = a * b
+        assert dict(got.items()) == _product_by_double_loop(a, b)
+        assert all(c for _, c in got.items())
+        if a and b and len(got) < len(a) * len(b):
+            cancelled += 1
+    assert (Poly.zero(2) * p("1/2*x1 + 1/3")).is_zero
+    assert (p("1/2*x1 + 1/3") * Poly.zero(2)).is_zero
+    assert (p("1/2*x1 - 1/3") * p("1/2*x1 + 1/3")) == p("1/4*x1^2 - 1/9")
+    assert (p("x1 - x2") * p("x1 + x2")) == p("x1^2 - x2^2")
+    assert cancelled
 
 
 def test_no_zero_terms_stored():

@@ -21,7 +21,9 @@ from germlab import (
 )
 from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max
 from germlab.standard_basis import (
+    NormalFormResult,
     ResourceLimits,
+    StandardRepresentation,
     _homogenize,
     _Packing,
     becker_check,
@@ -147,6 +149,81 @@ def test_completion_passes_becker_and_certs():
         for c, g in zip(cert, I.generators):
             acc = acc + c * g
         assert acc == b
+
+
+def test_certificates_with_differing_content_denominators():
+    gens = [p("1/2*x1^2 + x2^3"), p("2/3*x1*x2")]
+    completion = IdealPresentation(2, gens).completion(REV, certificates=True)
+    basis = list(completion.basis)
+    assert len(basis) == 3
+    for b, cert in zip(basis, completion.certificates):
+        acc = Poly.zero(2)
+        for c, g in zip(cert, gens):
+            acc = acc + c * g
+        assert acc == b
+    result = becker_check(basis, REV)
+    assert result.ok
+    for _, _, rep in result.representations:
+        if rep is not None:
+            assert rep.verify(basis) and rep.inequality_holds(basis, REV)
+
+
+def _tampered(polys, k, delta):
+    return [q + delta if i == k else q for i, q in enumerate(polys)]
+
+
+def test_verify_rejects_tampering():
+    f = p("x1 + x2^2 + x1^3")
+    basis = [p("x1 - x1^2 + x2^3"), p("x2^2 - x1*x2")]
+    nf = weak_normal_form(f, basis, REV)
+    assert nf.verify(f, basis)
+    delta = p("1/3*x2")
+    assert not NormalFormResult(nf.remainder, nf.unit, _tampered(nf.quotients, 0, delta)).verify(f, basis)
+    assert not NormalFormResult(nf.remainder, nf.unit + delta, nf.quotients).verify(f, basis)
+    assert not NormalFormResult(nf.remainder + delta, nf.unit, nf.quotients).verify(f, basis)
+
+    basis = list(IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2")]).completion(REV).basis)
+    reps = [rep for _, _, rep in becker_check(basis, REV).representations if rep is not None]
+    assert reps
+    for rep in reps:
+        assert rep.verify(basis)
+        k = next(i for i, q in enumerate(rep.quotients) if q)
+        tampered = _tampered(rep.quotients, k, delta)
+        assert not StandardRepresentation(rep.subject, tampered, rep.unit).verify(basis)
+        assert not StandardRepresentation(rep.subject, rep.quotients, rep.unit + delta).verify(basis)
+        assert not StandardRepresentation(rep.subject + delta, rep.quotients, rep.unit).verify(basis)
+
+
+def _inequality_by_products(rep, basis, order):
+    """The definition: inexp(subject) <= inexp(Q_i * basis_i), products formed."""
+    if rep.subject.is_zero:
+        return True
+    lead = order.key(initial_exponent(rep.subject, order))
+    return all(
+        order.key(initial_exponent(q * g, order)) >= lead
+        for q, g in zip(rep.quotients, basis)
+        if q
+    )
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1)])
+def test_inequality_holds_matches_the_products(weights):
+    order = LocalOrder(PositiveLinearForm(weights), REVERSE)
+    rng = make_rng("inequality-holds", *weights)
+    verdicts = set()
+    for _ in range(150):
+        basis = [random_poly(rng, 2, max_degree=4, max_terms=3) for _ in range(rng.randint(1, 3))]
+        subject = random_poly(rng, 2, max_degree=4, max_terms=3)
+        quotients = [
+            random_poly(rng, 2, max_degree=3, max_terms=2, min_term_degree=0)
+            if rng.random() < 0.7 else Poly.zero(2)
+            for _ in basis
+        ]
+        rep = StandardRepresentation(subject, quotients, Poly.constant(2, 1))
+        got = rep.inequality_holds(basis, order)
+        assert got == _inequality_by_products(rep, basis, order)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_diagram_of_ideal():
