@@ -10,7 +10,8 @@ Hilbert-Samuel data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import add
 
 from .orders import PositiveLinearForm, degree_form, exp_divides
 
@@ -88,59 +89,73 @@ class HilbertSamuelTable:
         return list(self.values)
 
 
+def _complement_histogram(d: Diagram, weights, eta: int) -> list:
+    """hist[w]: lattice points outside the staircase of weight exactly w,
+    for w = 0..eta.
+
+    Recursive walk over the leading coordinates of the points, one variable
+    per level, keeping the vertices that lie below the prefix so far (only
+    they can still dominate a point with that prefix).  A prefix with a kept
+    vertex that is zero on every remaining coordinate lies inside the
+    staircase and is skipped.  A prefix with no kept vertex counts every
+    completion, read off the tail histogram of the remaining coordinates:
+    the walk of the next coordinate with no vertices, kept per coordinate.
+    As the value b of a coordinate grows the kept vertices only accumulate,
+    so the walk below is redone only when b passes a vertex coordinate and
+    is shifted by the weight of b in between.  Points inside the staircase
+    are never materialized.
+    """
+    n = d.n
+    tails: dict = {}
+
+    def walk(i: int, active) -> list | None:
+        # None when a kept vertex dominates every point with this prefix
+        if any(not any(v[i:]) for v in active):
+            return None
+        if i == n:
+            return [1] + [0] * eta
+        if not active and i in tails:
+            return tails[i]
+        w = weights[i]
+        hist = [0] * (eta + 1)
+        prev = sub = None
+        for b in range(eta // w + 1):
+            kept = [v for v in active if v[i] <= b]
+            if kept != prev:
+                prev, sub = kept, walk(i + 1, kept)
+            if sub is not None:
+                off = w * b
+                hist[off:] = map(add, hist[off:], sub)
+        if not active:
+            tails[i] = hist
+        return hist
+
+    return walk(0, sorted(d.vertices)) or [0] * (eta + 1)
+
+
 def complement_count(d: Diagram, form: PositiveLinearForm, eta: int) -> int:
     """Number of lattice points outside the staircase with weight <= eta.
 
-    Recursive per-coordinate enumeration: once no vertex can still dominate
-    the chosen prefix the whole remaining simplex is counted in closed
-    recursive form, and subtrees that are entirely inside the staircase are
-    pruned, so points inside the staircase are never materialized.
+    The sum of the complement's weight histogram up to eta, from the same
+    walk that gives ``hilbert_samuel`` its table.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
     if form.n != d.n:
         raise ValueError(f"form on {form.n} coordinates, diagram on {d.n}")
-    weights = form.weights
-    vertices = sorted(d.vertices)
-    simplex_cache: dict = {}
-
-    def simplex(i: int, budget: int) -> int:
-        # count of (b_i, ..., b_{n-1}) >= 0 with sum weights[j]*b_j <= budget
-        if budget < 0:
-            return 0
-        if i == d.n:
-            return 1
-        key = (i, budget)
-        got = simplex_cache.get(key)
-        if got is None:
-            got = sum(
-                simplex(i + 1, budget - weights[i] * b)
-                for b in range(budget // weights[i] + 1)
-            )
-            simplex_cache[key] = got
-        return got
-
-    def walk(i: int, budget: int, active) -> int:
-        if any(all(v[j] == 0 for j in range(i, d.n)) for v in active):
-            return 0  # some vertex already dominates: subtree inside
-        if not active:
-            return simplex(i, budget)
-        total = 0
-        for b in range(budget // weights[i] + 1):
-            total += walk(i + 1, budget - weights[i] * b, [v for v in active if v[i] <= b])
-        return total
-
-    return walk(0, eta, vertices)
+    return sum(_complement_histogram(d, form.weights, eta))
 
 
 def hilbert_samuel(d: Diagram, eta_max: int) -> HilbertSamuelTable:
-    """Complement counts for the total-degree form, eta = 0..eta_max."""
+    """Complement counts for the total-degree form, eta = 0..eta_max.
+
+    The prefix sums of one weight histogram of the complement up to
+    eta_max, so the staircase is walked once for the whole table.
+    """
     if eta_max < 0:
         raise ValueError("eta_max must be >= 0")
-    form = degree_form(d.n)
-    return HilbertSamuelTable(
-        tuple(complement_count(d, form, eta) for eta in range(eta_max + 1))
-    )
+    hist = _complement_histogram(d, degree_form(d.n).weights, eta_max)
+    return HilbertSamuelTable(tuple(accumulate(hist)))
 
 
 def has_axis_vertices(d: Diagram, k: int) -> bool:

@@ -257,12 +257,14 @@ def becker_check(
     Returns the first failing pair with its irreducible remainder, or all
     representations on success.  Pairs are scanned in index order, so the
     witness is deterministic.  Each s-polynomial is reduced by ``_hreduce``
-    against the homogenized basis.  A zero result gives a unit-free
-    representation, its quotients rebuilt from the step records by
-    ``_cofactors``.  A nonzero result's smallest key is the first term found
-    irreducible: when no lead's x-part divides its x-part, the result at
-    grading variable 1 is the witness; otherwise only the grading variable
-    blocked it and the unit-carrying division is the fallback.
+    against the homogenized basis; its subject is the packed s-pair at
+    grading variable 1, rescaled to the s-series of the given elements.  A
+    zero result gives a unit-free representation, its quotients rebuilt
+    from the step records by ``_cofactors``.  A nonzero result's smallest
+    key is the first term found irreducible: when no lead's x-part divides
+    its x-part, the result at grading variable 1 is the witness; otherwise
+    only the grading variable blocked it and the unit-carrying division is
+    the fallback.
     """
     n = order.n
     if any(g.is_zero for g in basis):
@@ -272,17 +274,18 @@ def becker_check(
     reps = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = s_series(basis[i], basis[j], order)
-            if s.is_zero:
-                reps.append((i, j, None))
-                continue
             bound = packing.grade(helems[i].lead) + packing.grade(helems[j].lead)
             packing = _fit(packing, helems, bound)
             gamma = packing.pack(exp_max(helems[i].lm, helems[j].lm))
             work, a, _ = _spair(helems[i], helems[j], gamma)
-            # s is scale * work at grading variable 1: the packed elements
-            # are the true ones divided by their contents
+            if not work:
+                # dehomogenizing is injective on a homogeneous polynomial
+                reps.append((i, j, None))
+                continue
+            # the s-series is scale * work at grading variable 1: the packed
+            # elements are the true ones divided by their contents
             scale = contents[i] * contents[j] * (helems[j].lc // a)
+            s = _raw(n, {packing.unpack(e)[:n]: scale * v for e, v in work.items()})
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
@@ -320,14 +323,30 @@ class CompletionResult:
     certificates: tuple | None  # certificates[k][i] multiplies generator i
 
 
+class _Completed:
+    """One order's cache entry: the graded elements ``_complete`` kept, with
+    their packing and diagram, and the ``CompletionResult`` built from them
+    the first time it is asked for.  ``certified`` records whether the
+    elements carry cofactors."""
+
+    __slots__ = ("packing", "elems", "diagram", "certified", "result")
+
+    def __init__(self, graded, certified: bool):
+        self.packing, self.elems, self.diagram = graded
+        self.certified = certified
+        self.result = None
+
+
 class IdealPresentation:
     """Generator list with cached standard bases and diagrams per order.
 
-    An empty generator list represents the zero ideal.  Caching is
-    compute-once under a lock, so concurrent readers are safe; a cached
-    verdict-only completion is upgraded in place when certificates are
-    requested later.  Each cache entry holds the completion and the diagram
-    read off its graded leads.
+    An empty generator list represents the zero ideal.  Each cache entry
+    holds the graded elements of one completion and the diagram read off
+    their leads; the dehomogenized ``CompletionResult`` is built from them
+    only when ``completion`` asks, so ``diagram`` never pays for it.
+    Caching is compute-once under a lock, so concurrent readers are safe; a
+    cached verdict-only entry is replaced by a certified one when
+    certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -355,31 +374,41 @@ class IdealPresentation:
             self.n, list(self.generators) + [g for g in extra if not g.is_zero]
         )
 
+    def _entry(self, order: LocalOrder, limits: ResourceLimits, certificates: bool):
+        """The cache entry of ``order``, completing when there is none or
+        when certificates are asked of a verdict-only one."""
+        with self._lock:
+            got = self._cache.get(order)
+        if got is not None and (got.certified or not certificates):
+            return got
+        entry = _Completed(
+            _complete(self.generators, order, limits, certificates), certificates
+        )
+        with self._lock:
+            cached = self._cache.get(order)
+            if cached is not None and (cached.certified or not certificates):
+                return cached
+            self._cache[order] = entry
+            return entry
+
     def completion(
         self,
         order: LocalOrder,
         limits: ResourceLimits = DEFAULT_LIMITS,
         certificates: bool = True,
     ) -> CompletionResult:
+        entry = self._entry(order, limits, certificates)
         with self._lock:
-            got = self._cache.get(order)
-        if got is not None and (got[0].certificates is not None or not certificates):
-            return got[0]
-        entry = _complete(self.generators, order, limits, certificates)
-        with self._lock:
-            cached = self._cache.get(order)
-            if cached is not None and cached[0].certificates is not None:
-                return cached[0]
-            self._cache[order] = entry
-            return entry[0]
+            if entry.result is None:
+                entry.result = _completion_result(self.n, len(self.generators), entry)
+            return entry.result
 
     def diagram(
         self, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
     ) -> Diagram:
-        """Diagram of initial exponents of the completed basis."""
-        self.completion(order, limits, certificates=False)
-        with self._lock:
-            return self._cache[order][1]
+        """Diagram of initial exponents of the completed basis, read off the
+        graded leads; no dehomogenized basis is built for it."""
+        return self._entry(order, limits, False).diagram
 
 
 class _Packing:
@@ -505,40 +534,46 @@ def _fit(packing: _Packing, elems, grade: int) -> _Packing:
 
 
 def _submul(work: dict, lc: int, c: int, m: int, poly: dict, heap=None):
-    """The reduction kernel: a * work - b * x^m * poly over packed keys.
+    """The reduction kernel: work becomes a * work - b * x^m * poly, in place,
+    over packed keys.
 
     Fraction-free: with lc the lead coefficient of poly and c the
     coefficient of x^m * lead(poly) in work, the multipliers (a, b) are
     (lc, c) divided by their gcd, so that term cancels with the smallest
-    integers.  Terms that cancel are dropped; keys new to the support are
-    pushed onto ``heap`` when one is given.  Returns (result, a, b).
+    integers; work is multiplied only when a != 1.  Terms that cancel are
+    dropped; keys new to the support are pushed onto ``heap`` when one is
+    given.  Returns (a, b).
     """
     g = gcd(lc, c)
     a, b = lc // g, c // g
-    new = {e: v * a for e, v in work.items()}
-    get = new.get
+    if a != 1:
+        for e in work:
+            work[e] *= a
+    get = work.get
     for e, v in poly.items():
         key = e + m
         acc = get(key)
         if acc is None:
-            new[key] = -b * v
+            work[key] = -b * v
             if heap is not None:
                 heappush(heap, key)
         else:
             acc -= b * v
             if acc:
-                new[key] = acc
+                work[key] = acc
             else:
-                del new[key]
-    return new, a, b
+                del work[key]
+    return a, b
 
 
 def _spair(f: _HElement, g: _HElement, gamma: int):
     """The s-polynomial a * x^(gamma - lm(f)) * f - b * x^(gamma - lm(g)) * g
-    of two elements with packed lead lcm gamma; returns it with (a, b)."""
+    of two elements with packed lead lcm gamma, built in a fresh dict;
+    returns it with (a, b)."""
     shift = gamma - f.lead
     work = {e + shift: v for e, v in f.poly.items()}
-    return _submul(work, g.lc, f.lc, gamma - g.lead, g.poly)
+    a, b = _submul(work, g.lc, f.lc, gamma - g.lead, g.poly)
+    return work, a, b
 
 
 def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
@@ -554,12 +589,15 @@ def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
     k only adds keys above k, so a term found irreducible stays below every
     later lead and is never looked at again.  Every term of the result is
     head-irreducible against the basis, and common powers of the grading
-    variable are divided out of it.  Returns (work, steps): each step
-    (t, m, a, b, c) records that work became (a*work - b*x^m*t.poly)/c, from
-    which ``_cofactors`` rebuilds the combination.
+    variable are divided out of it.  The input is copied once on entry and
+    the copy reduced in place, so no caller's dict (an element's poly among
+    them) changes.  Returns (work, steps): each step (t, m, a, b, c) records
+    that work became (a*work - b*x^m*t.poly)/c, from which ``_cofactors``
+    rebuilds the combination.
     """
     guard = packing.guard
     heads = [(b.lead, b) for b in reducers]
+    work = dict(work)
     heap = list(work)
     heapify(heap)
     steps = []
@@ -573,10 +611,11 @@ def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
         else:
             continue
         m = lm - head
-        work, a, b = _submul(work, t.lc, work[lm], m, t.poly, heap)
+        a, b = _submul(work, t.lc, work[lm], m, t.poly, heap)
         content = _int_content(work) if work else 1
         if content != 1:
-            work = {e: v // content for e, v in work.items()}
+            for e in work:
+                work[e] //= content
         steps.append((t, m, a, b, content))
         if len(steps) > limits.max_reductions:
             raise ResourceLimitError("max_reductions", limits.max_reductions)
@@ -655,22 +694,22 @@ def _complete(
 ) -> tuple:
     """Completion through the weighted-homogeneous Buchberger loop.
 
-    The generators are homogenized with a grading variable, a Groebner-style
-    basis is computed for the graded global order (grade first, then the
-    local order on the x-part), and the result is evaluated back at grading
-    variable 1.  Initial exponents survive the round trip, which makes the
-    dehomogenized set a standard basis for the local order.  The returned
-    elements (the surviving graded basis with the original generators kept
-    alongside) are scaled monic and each carries an exact polynomial
-    combination over the original generators when certificates are
-    requested.  Pairs are processed by smallest lcm weight first, ties by
-    pair index, so output is a deterministic function of (generators,
-    order).  Returns the ``CompletionResult`` and the diagram of the
-    basis initial exponents.
+    The generators are homogenized with a grading variable and a
+    Groebner-style basis is computed for the graded global order (grade
+    first, then the local order on the x-part).  Initial exponents survive
+    evaluating the grading variable back at 1, which makes the dehomogenized
+    set a standard basis for the local order.  Pairs are processed by
+    smallest lcm weight first, ties by pair index, so output is a
+    deterministic function of (generators, order).  Returns (packing,
+    elements, diagram): the kept graded elements (the surviving graded basis
+    with the original generators alongside), each carrying its cofactors
+    over the original generators when certificates are requested, and the
+    diagram of their leads.  Nothing is dehomogenized here;
+    ``_completion_result`` does that when a basis is asked for.
     """
     n = order.n
     if not generators:
-        return CompletionResult((), () if certificates else None), Diagram(n)
+        return None, [], Diagram(n)
 
     packing, basis, _ = _homogenize(generators, order)
 
@@ -763,16 +802,28 @@ def _complete(
         basis.append(_HElement(sp, packing, cof))
         push_pairs(len(basis) - 1)
 
-    # back to the local world: evaluate the grading variable at 1 and scale
-    # monic on the initial coefficient.  The surviving elements form the
-    # graded basis; the original generators ride along (they reduce to zero
-    # against it, trivially so when their own lead survived), keeping
-    # s-series and generator reductions against the result inside the
-    # graded engine.
-    keep = sorted(set(active) | set(range(len(generators))))
+    # The surviving elements form the graded basis; the original generators
+    # ride along (they reduce to zero against it, trivially so when their
+    # own lead survived), keeping s-series and generator reductions against
+    # the result inside the graded engine.
+    kept = [basis[k] for k in sorted(set(active) | set(range(len(generators))))]
+    # the x-part of a graded lead is the local initial exponent of its element
+    diagram = vertices_from_exponents([b.lm[:n] for b in kept], n)
+    return packing, kept, diagram
+
+
+def _completion_result(n: int, count: int, entry: _Completed) -> CompletionResult:
+    """Back to the local world: the ``CompletionResult`` of a cache entry
+    over ``count`` generators.
+
+    Each kept element is evaluated at grading variable 1 and scaled monic
+    on its initial coefficient; repeats are dropped.  Certificates come
+    with it when the elements carry cofactors.
+    """
+    packing = entry.packing
     out_basis = []
     out_certs = []
-    for b in (basis[k] for k in keep):
+    for b in entry.elems:
         # the graded lead is the local initial term, so lc is its coefficient;
         # weight(x) + t is constant on b, so the x-parts are distinct
         lc = b.lc
@@ -780,13 +831,9 @@ def _complete(
         if p in out_basis:
             continue
         out_basis.append(p)
-        if certificates:
-            out_certs.append(tuple(_cofactor_polys(n, b.cof, len(generators), lc)))
-
-    # the x-part of a graded lead is the local initial exponent of its element
-    diagram = vertices_from_exponents([basis[k].lm[:n] for k in keep], n)
-    result = CompletionResult(tuple(out_basis), tuple(out_certs) if certificates else None)
-    return result, diagram
+        if entry.certified:
+            out_certs.append(tuple(_cofactor_polys(n, b.cof, count, lc)))
+    return CompletionResult(tuple(out_basis), tuple(out_certs) if entry.certified else None)
 
 
 def standard_basis_complete(

@@ -91,6 +91,24 @@ def test_hilbert_samuel_examples():
     assert hilbert_samuel(d3, 6).to_list() == [1, 3, 4, 5, 5, 5, 5]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hilbert_samuel_against_enumeration(n):
+    rng = make_rng("hs-oracle", n)
+    form = degree_form(n)
+    diagrams = [Diagram(n), Diagram(n, frozenset({(0,) * n}))]
+    for _ in range(12):
+        exps = {
+            tuple(rng.randint(0, 4) for _ in range(n))
+            for _ in range(rng.randint(1, 5))
+        }
+        diagrams.append(vertices_from_exponents({e for e in exps if sum(e) > 0}, n))
+    for d in diagrams:
+        for eta_max in (0, 6 - n):
+            assert hilbert_samuel(d, eta_max).to_list() == [
+                brute_complement(d, form, eta) for eta in range(eta_max + 1)
+            ]
+
+
 def test_hs_monotone():
     d = vertices_from_exponents({(3, 0), (0, 2)})
     hs = hilbert_samuel(d, 8).values

@@ -11,22 +11,28 @@ from germlab import (
     ZeroPolynomialError,
     degree_order,
     diagram_of_ideal,
+    dimension_at_origin,
     ideal_membership,
     initial_exponent,
     parse_poly,
     s_series,
     standard_basis_complete,
+    tangent_cone_ideal,
     vertices_from_exponents,
     weak_normal_form,
 )
+from germlab import standard_basis
 from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max
 from germlab.standard_basis import (
+    DEFAULT_LIMITS,
     NormalFormResult,
     ResourceLimits,
     StandardRepresentation,
     _homogenize,
+    _hreduce,
     _Packing,
     becker_check,
+    cone_contains,
     is_proper,
 )
 from germlab.seeding import make_rng
@@ -462,3 +468,116 @@ def test_widening_with_queued_pairs(tiebreak):
     small = ResourceLimits(max_reductions=1000)
     d = diagram_of_ideal(IdealPresentation(2, gens), degree_order(2, tiebreak), small)
     assert d.vertices == frozenset({(0, 5), (1, 1), (2, 0)})
+
+
+# -- the in-place reduction kernel ----------------------------------------------
+
+# completing these runs one reduction through a step with a == -1 and
+# content 3 and a step with a == 1 (see the recording in the test below)
+KERNEL_GENS = ("-6*x2^3 + x1^2*x2", "2*x1^2*x2 + 3*x1^2*x2^2")
+
+
+def _reexpands(completion, gens):
+    n = gens[0].n
+    for b, cert in zip(completion.basis, completion.certificates):
+        acc = Poly.zero(n)
+        for c, g in zip(cert, gens):
+            acc = acc + c * g
+        if acc != b:
+            return False
+    return True
+
+
+def test_hreduce_leaves_its_input_and_reducers_unchanged():
+    basis = list(IdealPresentation(2, [p(g) for g in KERNEL_GENS]).completion(REV).basis)
+    subject = p("x1^2*x2^2 + 2*x2^5 - 4*x1^2*x2^3")
+    packing, elems, _ = _homogenize([*basis, subject], REV)
+    reducers, work = elems[:-1], elems[-1].poly
+    before = dict(work)
+    polys = [dict(b.poly) for b in reducers]
+    out, steps = _hreduce(work, reducers, packing, DEFAULT_LIMITS)
+    # several steps, scaling the work and dividing out contents
+    assert any(a != 1 for _, _, a, _, _ in steps) and any(c != 1 for *_, c in steps)
+    assert work == before
+    assert [b.poly for b in reducers] == polys
+    assert _hreduce(work, reducers, packing, DEFAULT_LIMITS) == (out, steps)
+
+
+def test_cone_contains_mutates_no_element(monkeypatch):
+    order = degree_order(2, REVERSE)
+    cases = [
+        (tangent_cone_ideal(IdealPresentation(2, [p(a)]), order),
+         tangent_cone_ideal(IdealPresentation(2, [p(b)]), order),
+         expected)
+        for a, b, expected in (
+            ("x1^2 - x2^3", "x1^2 + x2^5", True),
+            ("x1^2", "x1^2 + x1*x2", False),
+        )
+    ]
+    seen = []
+    real = standard_basis._homogenize
+
+    def recording(polys, order):
+        packing, elems, contents = real(polys, order)
+        seen.append([(b, dict(b.poly)) for b in elems])
+        return packing, elems, contents
+
+    monkeypatch.setattr(standard_basis, "_homogenize", recording)
+    for gens_a, gens_b, expected in cases:
+        texts = [str(g) for g in gens_a + gens_b]
+        assert cone_contains(gens_a, gens_b, order) == expected
+        assert cone_contains(gens_a, gens_b, order) == expected
+        assert [str(g) for g in gens_a + gens_b] == texts
+    assert len(seen) == 4
+    assert all(b.poly == poly for elems in seen for b, poly in elems)
+
+
+def test_reduction_through_unit_and_negated_multipliers(monkeypatch):
+    steps_seen = []
+    real = standard_basis._hreduce
+
+    def recording(*args):
+        work, steps = real(*args)
+        steps_seen.extend((a, c) for _, _, a, _, c in steps)
+        return work, steps
+
+    monkeypatch.setattr(standard_basis, "_hreduce", recording)
+    gens = [p(g) for g in KERNEL_GENS]
+    completion = IdealPresentation(2, gens).completion(REV, certificates=True)
+    assert {1, -1} <= {a for a, _ in steps_seen}
+    assert any(c != 1 for _, c in steps_seen)
+    monkeypatch.undo()
+    assert completion == IdealPresentation(2, gens).completion(REV, certificates=True)
+    assert list(completion.basis) == [
+        p("-6*x2^3 + x1^2*x2"), p("x1^2*x2 + 3/2*x1^2*x2^2"), p("x2^3 + 3/2*x2^4")
+    ]
+    assert _reexpands(completion, gens)
+    assert becker_check(list(completion.basis), REV).ok
+
+
+# -- diagram-only work builds no dehomogenized basis -----------------------------
+
+
+def test_diagram_path_builds_no_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dehomogenized polynomial was built")
+
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    unit = IdealPresentation(2, [p("x1*x2"), p("2 + x2")])
+    ideal = IdealPresentation(2, gens)
+    monkeypatch.setattr(standard_basis, "_raw", refuse)
+    d = diagram_of_ideal(ideal, REV)
+    assert is_proper(ideal, REV)
+    assert not is_proper(unit, REV)
+    assert dimension_at_origin(ideal, 5).dim == 0
+    monkeypatch.undo()
+
+    assert d == _diagram_by_initial_exponents(IdealPresentation(2, gens), REV)
+    bare = ideal.completion(REV, certificates=False)
+    assert bare.certificates is None
+    assert bare == IdealPresentation(2, gens).completion(REV, certificates=False)
+    rich = ideal.completion(REV, certificates=True)
+    assert rich.basis == bare.basis
+    assert _reexpands(rich, gens)
+    assert ideal.diagram(REV) == d
+
