@@ -10,7 +10,7 @@ as unique minimum, compatible with exponent addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, le, mul
 
 from .errors import DimensionMismatchError
 
@@ -108,4 +108,4 @@ def exp_max(a, b):
 
 def exp_divides(a, b) -> bool:
     """Componentwise a <= b; the divisibility test x^a | x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))

@@ -285,7 +285,7 @@ def becker_check(
             # the s-series is scale * work at grading variable 1: the packed
             # elements are the true ones divided by their contents
             scale = contents[i] * contents[j] * (helems[j].lc // a)
-            s = _raw(n, {packing.unpack(e)[:n]: scale * v for e, v in work.items()})
+            s = _raw(n, {packing.xpart(e): scale * v for e, v in work.items()})
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
@@ -302,7 +302,7 @@ def becker_check(
             xguard = packing.guard >> bits
             if all((xpart - (b.lead >> bits)) & xguard for b in helems):
                 lam = prod(Fraction(a, c) for _, _, a, _, c in steps)
-                witness = Poly(n, [(packing.unpack(e)[:n], v) for e, v in work.items()])
+                witness = Poly(n, [(packing.xpart(e), v) for e, v in work.items()])
                 return BeckerResult(False, reps, (i, j, witness.scale(scale / lam)))
             nf = weak_normal_form(s, basis, order, limits)
             if not nf.remainder.is_zero:
@@ -323,30 +323,16 @@ class CompletionResult:
     certificates: tuple | None  # certificates[k][i] multiplies generator i
 
 
-class _Completed:
-    """One order's cache entry: the graded elements ``_complete`` kept, with
-    their packing and diagram, and the ``CompletionResult`` built from them
-    the first time it is asked for.  ``certified`` records whether the
-    elements carry cofactors."""
-
-    __slots__ = ("packing", "elems", "diagram", "certified", "result")
-
-    def __init__(self, graded, certified: bool):
-        self.packing, self.elems, self.diagram = graded
-        self.certified = certified
-        self.result = None
-
-
 class IdealPresentation:
     """Generator list with cached standard bases and diagrams per order.
 
     An empty generator list represents the zero ideal.  Each cache entry
-    holds the graded elements of one completion and the diagram read off
-    their leads; the dehomogenized ``CompletionResult`` is built from them
-    only when ``completion`` asks, so ``diagram`` never pays for it.
-    Caching is compute-once under a lock, so concurrent readers are safe; a
-    cached verdict-only entry is replaced by a certified one when
-    certificates are requested later.
+    holds one completion's ``CompletionResult`` and the diagram read off its
+    graded leads.  ``diagram`` goes through ``completion``, so every
+    completion of a presentation is one ``completion`` call, whoever asks
+    for it.  Caching is compute-once under a lock, so concurrent readers
+    are safe; a cached verdict-only entry (certificates None) is replaced
+    by a certified one when certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -375,21 +361,22 @@ class IdealPresentation:
         )
 
     def _entry(self, order: LocalOrder, limits: ResourceLimits, certificates: bool):
-        """The cache entry of ``order``, completing when there is none or
-        when certificates are asked of a verdict-only one."""
+        """The cache entry (result, diagram) of ``order``, completing when
+        there is none or when certificates are asked of a verdict-only one."""
         with self._lock:
             got = self._cache.get(order)
-        if got is not None and (got.certified or not certificates):
+        if got is not None and (got[0].certificates is not None or not certificates):
             return got
-        entry = _Completed(
-            _complete(self.generators, order, limits, certificates), certificates
+        packing, elems, diagram = _complete(self.generators, order, limits, certificates)
+        result = _completion_result(
+            self.n, len(self.generators), packing, elems, certificates
         )
         with self._lock:
             cached = self._cache.get(order)
-            if cached is not None and (cached.certified or not certificates):
+            if cached is not None and (cached[0].certificates is not None or not certificates):
                 return cached
-            self._cache[order] = entry
-            return entry
+            self._cache[order] = (result, diagram)
+            return result, diagram
 
     def completion(
         self,
@@ -397,18 +384,15 @@ class IdealPresentation:
         limits: ResourceLimits = DEFAULT_LIMITS,
         certificates: bool = True,
     ) -> CompletionResult:
-        entry = self._entry(order, limits, certificates)
-        with self._lock:
-            if entry.result is None:
-                entry.result = _completion_result(self.n, len(self.generators), entry)
-            return entry.result
+        return self._entry(order, limits, certificates)[0]
 
     def diagram(
         self, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
     ) -> Diagram:
         """Diagram of initial exponents of the completed basis, read off the
-        graded leads; no dehomogenized basis is built for it."""
-        return self._entry(order, limits, False).diagram
+        graded leads of the cached (verdict-only, unless certified) entry."""
+        self.completion(order, limits, certificates=False)
+        return self._entry(order, limits, False)[1]
 
 
 class _Packing:
@@ -449,7 +433,12 @@ class _Packing:
 
     def unpack(self, key) -> tuple:
         mask = self.max_grade
-        return (*((key >> s) & mask for s in self.shifts), key & mask)
+        return tuple([(key >> s) & mask for s in self.shifts] + [key & mask])
+
+    def xpart(self, key) -> tuple:
+        """The x-exponents of a packed monomial: ``unpack`` without t."""
+        mask = self.max_grade
+        return tuple([(key >> s) & mask for s in self.shifts])
 
     def grade(self, key) -> int:
         """weight(x) + t, read off the top and bottom fields."""
@@ -659,7 +648,7 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     for coeff, m, elem in terms:
         eden, parts = elem.cof
         mult = coeff.numerator * (den // (coeff.denominator * eden))
-        shift = packing.unpack(m)[:n]
+        shift = packing.xpart(m)
         for k, ck in parts.items():
             acc = cof.setdefault(k, {})
             for e, v in ck.items():
@@ -705,7 +694,7 @@ def _complete(
     with the original generators alongside), each carrying its cofactors
     over the original generators when certificates are requested, and the
     diagram of their leads.  Nothing is dehomogenized here;
-    ``_completion_result`` does that when a basis is asked for.
+    ``_completion_result`` does that for the cache entry.
     """
     n = order.n
     if not generators:
@@ -812,28 +801,33 @@ def _complete(
     return packing, kept, diagram
 
 
-def _completion_result(n: int, count: int, entry: _Completed) -> CompletionResult:
-    """Back to the local world: the ``CompletionResult`` of a cache entry
-    over ``count`` generators.
+def _completion_result(
+    n: int, count: int, packing: _Packing, elems, certified: bool
+) -> CompletionResult:
+    """Back to the local world: the ``CompletionResult`` of the graded
+    elements ``_complete`` kept from ``count`` generators.
 
     Each kept element is evaluated at grading variable 1 and scaled monic
     on its initial coefficient; repeats are dropped.  Certificates come
-    with it when the elements carry cofactors.
+    with it when the elements carry cofactors (``certified``).
     """
-    packing = entry.packing
     out_basis = []
     out_certs = []
-    for b in entry.elems:
+    seen: dict = {}  # initial exponent -> the polynomials kept with it
+    for b in elems:
         # the graded lead is the local initial term, so lc is its coefficient;
         # weight(x) + t is constant on b, so the x-parts are distinct
         lc = b.lc
-        p = _raw(n, {packing.unpack(e)[:n]: Fraction(v, lc) for e, v in b.poly.items()})
-        if p in out_basis:
+        p = _raw(n, {packing.xpart(e): Fraction(v, lc) for e, v in b.poly.items()})
+        # a repeat has the same initial exponent, so only those are compared
+        twins = seen.setdefault(b.lm[:n], [])
+        if p in twins:
             continue
+        twins.append(p)
         out_basis.append(p)
-        if entry.certified:
+        if certified:
             out_certs.append(tuple(_cofactor_polys(n, b.cof, count, lc)))
-    return CompletionResult(tuple(out_basis), tuple(out_certs) if entry.certified else None)
+    return CompletionResult(tuple(out_basis), tuple(out_certs) if certified else None)
 
 
 def standard_basis_complete(

@@ -555,29 +555,46 @@ def test_reduction_through_unit_and_negated_multipliers(monkeypatch):
     assert becker_check(list(completion.basis), REV).ok
 
 
-# -- diagram-only work builds no dehomogenized basis -----------------------------
+# -- diagrams and bases share one completion -------------------------------------
 
 
-def test_diagram_path_builds_no_basis(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dehomogenized polynomial was built")
+def test_diagram_and_completion_share_one_completion(monkeypatch):
+    completed = []
+    real_complete = standard_basis._complete
 
+    def counting_complete(*args):
+        completed.append(args[3])
+        return real_complete(*args)
+
+    asked = []
+    real_completion = IdealPresentation.completion
+
+    def counting_completion(self, order, *rest, **kwargs):
+        asked.append(order)
+        return real_completion(self, order, *rest, **kwargs)
+
+    monkeypatch.setattr(standard_basis, "_complete", counting_complete)
+    monkeypatch.setattr(IdealPresentation, "completion", counting_completion)
     gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
     unit = IdealPresentation(2, [p("x1*x2"), p("2 + x2")])
     ideal = IdealPresentation(2, gens)
-    monkeypatch.setattr(standard_basis, "_raw", refuse)
     d = diagram_of_ideal(ideal, REV)
     assert is_proper(ideal, REV)
     assert not is_proper(unit, REV)
-    assert dimension_at_origin(ideal, 5).dim == 0
+    # every diagram is a completion call, and each presentation completes once
+    assert asked == [REV] * 3 and completed == [False, False]
+    bare = ideal.completion(REV, certificates=False)
+    assert ideal.completion(REV, certificates=False) is bare
+    assert completed == [False, False]
     monkeypatch.undo()
 
     assert d == _diagram_by_initial_exponents(IdealPresentation(2, gens), REV)
-    bare = ideal.completion(REV, certificates=False)
     assert bare.certificates is None
     assert bare == IdealPresentation(2, gens).completion(REV, certificates=False)
+    assert len(set(bare.basis)) == len(bare.basis)
     rich = ideal.completion(REV, certificates=True)
     assert rich.basis == bare.basis
     assert _reexpands(rich, gens)
     assert ideal.diagram(REV) == d
+    assert ideal.completion(REV, certificates=False) is rich
 
