@@ -333,6 +333,9 @@ def run_job(path, limits: ResourceLimits | None = None):
         return _parse_failure(envelope, exc.msg, line=exc.lineno, column=exc.colno)
     except RecursionError:
         return _parse_failure(envelope, "job file is nested too deeply")
+    except ValueError as exc:
+        # an integer literal over the interpreter's int-string digit limit
+        return _parse_failure(envelope, f"job file holds an integer too long to read: {exc}")
 
     try:
         job = Job(data)

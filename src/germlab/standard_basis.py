@@ -17,6 +17,13 @@ with unit(0) = 1.  The remainder's initial exponent lies outside the
 staircase of the basis initial exponents; a zero remainder certifies ideal
 membership.  Units never move initial exponents, so every verdict built on
 top (membership, diagrams, Becker's criterion) is unaffected by them.
+
+Division, Becker's check, completion and cone containment all reduce
+through one kernel, ``_submul``, on integer polynomials homogenized with a
+grading variable t (Lazard's view of Mora's algorithm).  With the common
+power of t divided out, a polynomial's ecart is the t-exponent of its
+homogenized lead, and adjoining the current polynomial followed by a shift
+by t^k is what lets a reducer of larger ecart divide it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_add, exp_divides, exp_max, exp_sub
+from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub
 from .poly import Poly, _products, _raw, initial_exponent, initial_term
 
 
@@ -57,13 +64,6 @@ def s_series(f: Poly, g: Poly, order: LocalOrder) -> Poly:
     bg, cg = initial_term(g, order)
     gamma = exp_max(bf, bg)
     return f.mul_term(cg, exp_sub(gamma, bf)) - g.mul_term(cf, exp_sub(gamma, bg))
-
-
-def ecart(f: Poly, order: LocalOrder) -> int:
-    """Weight spread between the top of the support and the initial exponent."""
-    form = order.form
-    top = max(form.weight(e) for e in f.exponents())
-    return top - form.weight(initial_exponent(f, order))
 
 
 @dataclass
@@ -95,27 +95,6 @@ def _content(p: Poly) -> Fraction:
     return Fraction(num, den)
 
 
-class _Reducer:
-    """Basis element or self-included intermediate.
-
-    The working polynomial is kept primitive; ``scale`` restores its true
-    value.  For certificate tracking every reducer knows its own combination
-    scale * poly = cof_f * f + sum_i cofs[i] * g_i over the subject f and
-    the basis g_i (cof_f = None marks an original basis element).
-    """
-
-    __slots__ = ("poly", "head", "lead", "ec", "scale", "cof_f", "cofs")
-
-    def __init__(self, poly, head, lead, ec, scale, cof_f, cofs):
-        self.poly = poly
-        self.head = head
-        self.lead = lead
-        self.ec = ec
-        self.scale = scale
-        self.cof_f = cof_f
-        self.cofs = cofs
-
-
 def weak_normal_form(
     f: Poly,
     basis,
@@ -129,78 +108,86 @@ def weak_normal_form(
     remainder is nonzero its initial exponent is divisible by no basis
     initial exponent.  With ``certificates`` the unit and quotients of the
     division identity are materialized; without, only the remainder.
+
+    The division runs on the homogenized subject and basis, one ``_submul``
+    per step.  Each step strips the integer content and the common power of
+    the grading variable t, so the lead's t-exponent is the ecart.  Among
+    the reducers whose lead x-part divides the work's, the one of least
+    ecart (first in list order) is taken; when its ecart exceeds the work's
+    by k, a copy of the work joins the reducers and the work is shifted by
+    t^k first.  The copy carries its cofactors, rebuilt by ``_cofactors``
+    from the steps since the previous copy, so the unit and quotients of
+    the result need only the steps since the last one.  Each step's scalar
+    a / c is tracked exactly, which gives the remainder with unit(0) = 1.
     """
     n = f.n
-    one = Poly.constant(n, 1)
-    zero = Poly.zero(n)
     if f.is_zero:
+        zero = Poly.zero(n)
         if certificates:
-            return NormalFormResult(zero, one, [zero] * len(basis))
+            return NormalFormResult(zero, Poly.constant(n, 1), [zero] * len(basis))
         return NormalFormResult(zero, None, None)
-
-    reducers = []
-    for j, g in enumerate(basis):
-        if g.is_zero:
-            raise ZeroPolynomialError("basis elements must be nonzero")
-        head, lead = initial_term(g, order)
-        reducers.append(
-            _Reducer(g, head, lead, ecart(g, order), Fraction(1), None, j)
-        )
-
-    h = f
-    scale = _content(h)
-    if scale != 1:
-        h = h.scale(1 / scale)
-    cof_f = one
-    cofs: dict = {}
-    steps = 0
-    while not h.is_zero:
-        bh, ch = initial_term(h, order)
-        candidates = [t for t in reducers if exp_divides(t.head, bh)]
-        if not candidates:
+    if any(g.is_zero for g in basis):
+        raise ZeroPolynomialError("basis elements must be nonzero")
+    packing, reducers, contents = _homogenize([*basis, f], order)
+    # at t = 1 the work is lam * (base.poly - what the steps took off), lam
+    # the product of their a / c, and scale * base.poly is the division's
+    # value at base: the subject until the first self-inclusion, then the
+    # latest self-included work
+    base = reducers.pop()
+    scale = contents[-1]
+    work = dict(base.poly)
+    lam = Fraction(1)
+    steps = []
+    done = 0
+    while work:
+        # t is the lowest field: shifting it out leaves the x-part
+        bits, mask = packing.bits, packing.max_grade
+        xguard = packing.guard >> bits
+        lead = min(work)
+        xlead = lead >> bits
+        divisors = [r for r in reducers if not (xlead - (r.lead >> bits)) & xguard]
+        if not divisors:
             break
-        t = min(candidates, key=lambda r: r.ec)
-        eh = ecart(h, order)
-        if t.ec > eh:
-            reducers.append(
-                _Reducer(
-                    h, bh, ch, eh, scale,
-                    cof_f if certificates else None,
-                    dict(cofs) if certificates else None,
-                )
-            )
-        m_exp = exp_sub(bh, t.head)
-        m_coeff = ch / t.lead
-        h = h - t.poly.mul_term(m_coeff, m_exp)
+        t = min(divisors, key=lambda r: r.lead & mask)
+        k = (t.lead & mask) - (lead & mask)
+        if k > 0:
+            cof = _cofactors(steps, packing, -lam, [(lam, 0, base)]) if certificates else None
+            base = _HElement(work, packing, cof)
+            reducers.append(base)
+            scale /= lam
+            lam = Fraction(1)
+            steps = []
+            # _fit repacks the copy with the reducers; the work is a shifted copy
+            packing = _fit(packing, reducers, packing.grade(lead) + k)
+            mask = packing.max_grade
+            work = {e + k: v for e, v in base.poly.items()}
+            lead = base.lead + k
+        m = lead - t.lead
+        a, b = _submul(work, t.lc, work[lead], m, t.poly)
+        c = 1
+        if work:
+            c = _int_content(work)
+            tmin = min(e & mask for e in work)
+            if c != 1 or tmin:
+                work = {e - tmin: v // c for e, v in work.items()}
+        if a != c:
+            lam *= Fraction(a, c)
         if certificates:
-            # true subtracted value: (scale*m_coeff/t.scale) * x^m_exp * t_true
-            m_cert = scale * m_coeff / t.scale
-            if t.cof_f is None:
-                j = t.cofs
-                prev = cofs.get(j, zero)
-                cofs[j] = prev - Poly.monomial(n, m_exp, m_cert)
-            else:
-                cof_f = cof_f - t.cof_f.mul_term(m_cert, m_exp)
-                for j, c in t.cofs.items():
-                    prev = cofs.get(j, zero)
-                    cofs[j] = prev - c.mul_term(m_cert, m_exp)
-        if not h.is_zero:
-            c = _content(h)
-            if c != 1:
-                h = h.scale(1 / c)
-                scale = scale * c
-        steps += 1
-        if steps > limits.max_reductions:
+            steps.append((t, m, a, b, c))
+        done += 1
+        if done > limits.max_reductions:
             raise ResourceLimitError("max_reductions", limits.max_reductions)
-        if len(h) > limits.max_terms:
+        if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
 
-    remainder = h.scale(scale) if scale != 1 else h
+    factor = scale / lam
+    remainder = _raw(n, {packing.xpart(e): v * factor for e, v in work.items()})
     if not certificates:
         return NormalFormResult(remainder, None, None)
-    # scale*h = cof_f*f + sum cofs[j]*g_j, so unit*f = sum Q_j g_j + remainder.
-    quotients = [-cofs.get(j, zero) for j in range(len(basis))]
-    return NormalFormResult(remainder, cof_f, quotients)
+    # the combination of -remainder = sum_i Q_i * basis_i - unit * f
+    cof = _cofactors(steps, packing, scale, [(-scale, 0, base)])
+    *quotients, unit = _cofactor_polys(n, cof, len(basis) + 1)
+    return NormalFormResult(remainder, -unit, quotients)
 
 
 @dataclass
@@ -510,9 +497,10 @@ def _homogenize(polys, order: LocalOrder):
 def _fit(packing: _Packing, elems, grade: int) -> _Packing:
     """A packing whose fields hold ``grade``, repacking the elements in
     place when the current one is too narrow.  Callers pass the sum of two
-    lead grades, a bound on the grade of their lcm, before packing that lcm.
-    The new width covers twice the grade, so a completion climbing through
-    the grades repacks only a logarithmic number of times."""
+    lead grades, a bound on the grade of their lcm, before packing that lcm,
+    or the grade of a division's work before shifting it up.  The new width
+    covers twice the grade, so work climbing through the grades repacks only
+    a logarithmic number of times."""
     if grade <= packing.max_grade:
         return packing
     wide = _Packing(packing.order, 2 * grade)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -469,6 +470,39 @@ def test_bad_digits_are_parse_errors(tmp_path, text, column):
     assert report["error"]["kind"] == "parse"
     assert report["error"]["message"].startswith("ideal[0]: ")
     assert (report["error"]["line"], report["error"]["column"]) == (1, column)
+
+
+HUGE_INT_JOB = (
+    '{"variables": ["x1", "x2"], "ideal": ["x1*x2"], "command": "hs", '
+    '"parameters": {"eta_max": ' + "9" * 5000 + "}}"
+)
+
+
+def test_oversized_integer_is_a_parse_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_INT_JOB, encoding="utf-8")
+    report, code = run_job(path)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["kind"] == "parse"
+    assert f"({sys.get_int_max_str_digits()} digits)" in report["error"]["message"]
+
+
+def test_suite_survives_oversized_integer_job(tmp_path):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    (jobs / "a-huge.json").write_text(HUGE_INT_JOB, encoding="utf-8")
+    write_job(jobs / "b-good.json", **base_job())
+    out = tmp_path / "out"
+    aggregate, code = run_suite(jobs, out_dir=out)
+    assert code == 1
+    assert aggregate["total"] == 2
+    by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
+    assert by_name == {"a-huge.json": 2, "b-good.json": 0}
+    huge = json.loads((out / "a-huge.report.json").read_text(encoding="utf-8"))
+    assert huge["error"]["kind"] == "parse"
+    good = json.loads((out / "b-good.report.json").read_text(encoding="utf-8"))
+    assert good["result"]["vertices"] == [[1, 1]]
 
 
 def test_suite_survives_bad_digit_job(tmp_path):

@@ -103,6 +103,44 @@ def test_weak_normal_form_unit_constant_term_one():
         )
 
 
+def test_weak_normal_form_self_inclusion_widens_the_packing(monkeypatch):
+    # the work joins the reducers, and its shift by a power of the grading
+    # variable outgrows the packing sized for the inputs
+    order = LocalOrder(PositiveLinearForm((2, 1)), FORWARD)
+    f = p("-26*x1^2*x2^3")
+    basis = [p("-5*x2^2 - 3*x2^3"), p("-6*x2^2 - 2*x2^4"), p("7*x1^2 - x1^2*x2")]
+    widened = []
+    fit = standard_basis._fit
+
+    def recording(packing, elems, grade):
+        wide = fit(packing, elems, grade)
+        widened.append(wide is not packing)
+        return wide
+
+    monkeypatch.setattr(standard_basis, "_fit", recording)
+    nf = weak_normal_form(f, basis, order)
+    assert any(widened)
+    assert nf.remainder.is_zero
+    assert nf.unit == p("1 + 3/5*x2")
+    assert nf.quotients == [p("26/5*x1^2*x2"), Poly.zero(2), Poly.zero(2)]
+    assert nf.verify(f, basis)
+    bare = weak_normal_form(f, basis, order, certificates=False)
+    assert bare.remainder.is_zero and bare.unit is None and bare.quotients is None
+
+
+def test_becker_fallback_carries_a_unit():
+    # s = -2*x1^3*x2 needs a unit: (1 + x1^2) * s = -2*x1^3 * g1
+    gens = [p("x2 + x1^2*x2"), p("-x1 + x1^3")]
+    result = becker_check(gens, REV)
+    assert result.ok
+    [(i, j, rep)] = result.representations
+    assert (i, j) == (0, 1)
+    assert rep.subject == p("-2*x1^3*x2")
+    assert rep.unit == p("1 + x1^2")
+    assert rep.quotients == [p("-2*x1^3"), Poly.zero(2)]
+    assert rep.verify(gens) and rep.inequality_holds(gens, REV)
+
+
 def test_weak_normal_form_zero_subject():
     nf = weak_normal_form(Poly.zero(2), [p("x1")], REV)
     assert nf.remainder.is_zero and nf.unit == Poly.constant(2, 1)
