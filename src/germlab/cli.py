@@ -2,7 +2,7 @@
 
 One job file describes one command.  Exit codes: 0 on success, 1 on a
 mathematical rejection (e.g. a non-flat map handed to determinacy-order, or
-a failed oracle cross-check), 2 on parse or resource errors.  All
+a failed oracle cross-check), 2 on parse, resource or internal errors.  All
 randomness comes from seeds in the job file, so re-running a job or a suite
 reproduces its reports byte for byte.
 """
@@ -13,7 +13,9 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -370,6 +372,14 @@ def run_job(path, limits: ResourceLimits | None = None):
     except GermlabError as exc:
         envelope.update(status="error", error={"kind": "input", "message": str(exc)})
         return envelope, 2
+    except Exception as exc:
+        # a fault in germlab itself: report it and let a suite go on
+        traceback.print_exc()
+        envelope.update(
+            status="error",
+            error={"kind": "internal", "exception": type(exc).__name__, "message": str(exc)},
+        )
+        return envelope, 2
 
     if job.command == "oracle-check" and not (
         result["staircase_match"] and result["hs_match"] in (True, "skipped-nondegree-weights")
@@ -419,7 +429,9 @@ def run_suite(directory, out_dir=None, limits: ResourceLimits | None = None):
     return aggregate, worst
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="germlab",
         description="exact germ invariants: diagrams, standard bases, flatness, determinacy experiments",
@@ -431,7 +443,11 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="run every job in a directory")
     p_suite.add_argument("directory", help="directory of job JSON files")
     p_suite.add_argument("--out", help="directory for per-job reports", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         limits = limits_from_env()

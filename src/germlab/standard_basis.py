@@ -300,26 +300,75 @@ def becker_check(
     return BeckerResult(True, reps)
 
 
-@dataclass
 class CompletionResult:
     """Completed basis plus, per element, its combination over the original
     generators (an exact polynomial identity, re-expandable in tests).
-    Certificates are None when the completion ran in verdict-only mode."""
+    Certificates are None when the completion ran in verdict-only mode.
 
-    basis: tuple
-    certificates: tuple | None  # certificates[k][i] multiplies generator i
+    ``CompletionResult(basis, certificates)`` holds both as given.  A result
+    made by the presentation cache holds the graded elements instead and
+    builds basis and certificates on the first read of either, once, under
+    the presentation's lock; a build that raises is retried on the next
+    read.  Equality and repr read both, so they build too.
+    """
+
+    __slots__ = ("_basis", "_certificates", "_build", "_lock", "__weakref__")
+
+    def __init__(self, basis: tuple, certificates: tuple | None):
+        self._basis = basis
+        self._certificates = certificates  # certificates[k][i] multiplies generator i
+        self._build = None
+
+    @classmethod
+    def _deferred(cls, build, lock) -> "CompletionResult":
+        """A result whose (basis, certificates) is ``build()``, run on first read."""
+        result = cls(None, None)
+        result._build = build
+        result._lock = lock
+        return result
+
+    def _force(self):
+        with self._lock:
+            if self._build is not None:
+                self._basis, self._certificates = self._build()
+                self._build = None
+
+    @property
+    def basis(self) -> tuple:
+        if self._build is not None:
+            self._force()
+        return self._basis
+
+    @property
+    def certificates(self) -> tuple | None:
+        if self._build is not None:
+            self._force()
+        return self._certificates
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.certificates) == (other.basis, other.certificates)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CompletionResult(basis={self.basis!r}, certificates={self.certificates!r})"
 
 
 class IdealPresentation:
     """Generator list with cached standard bases and diagrams per order.
 
     An empty generator list represents the zero ideal.  Each cache entry
-    holds one completion's ``CompletionResult`` and the diagram read off its
-    graded leads.  ``diagram`` goes through ``completion``, so every
-    completion of a presentation is one ``completion`` call, whoever asks
-    for it.  Caching is compute-once under a lock, so concurrent readers
-    are safe; a cached verdict-only entry (certificates None) is replaced
-    by a certified one when certificates are requested later.
+    holds one completion's ``CompletionResult``, the diagram read off its
+    graded leads and whether it carries certificates.  The result builds
+    its dehomogenized basis on first read, so a caller that only asks for
+    diagrams never pays for one.  ``diagram`` goes through ``completion``,
+    so every completion of a presentation is one ``completion`` call,
+    whoever asks for it.  Completing and building run under one lock, each
+    once per entry, so concurrent readers are safe; a cached verdict-only
+    entry is replaced by a certified one when certificates are requested
+    later.
     """
 
     def __init__(self, n: int, generators):
@@ -348,22 +397,20 @@ class IdealPresentation:
         )
 
     def _entry(self, order: LocalOrder, limits: ResourceLimits, certificates: bool):
-        """The cache entry (result, diagram) of ``order``, completing when
-        there is none or when certificates are asked of a verdict-only one."""
+        """The cache entry (result, diagram, certified) of ``order``,
+        completing when there is none or when certificates are asked of a
+        verdict-only one.  The result's basis is left to its first read."""
         with self._lock:
             got = self._cache.get(order)
-        if got is not None and (got[0].certificates is not None or not certificates):
+            if got is None or (certificates and not got[2]):
+                packing, elems, diagram = _complete(self.generators, order, limits, certificates)
+                n, count = self.n, len(self.generators)
+                result = CompletionResult._deferred(
+                    lambda: _completion_result(n, count, packing, elems, certificates),
+                    self._lock,
+                )
+                got = self._cache[order] = (result, diagram, certificates)
             return got
-        packing, elems, diagram = _complete(self.generators, order, limits, certificates)
-        result = _completion_result(
-            self.n, len(self.generators), packing, elems, certificates
-        )
-        with self._lock:
-            cached = self._cache.get(order)
-            if cached is not None and (cached[0].certificates is not None or not certificates):
-                return cached
-            self._cache[order] = (result, diagram)
-            return result, diagram
 
     def completion(
         self,
@@ -682,7 +729,8 @@ def _complete(
     with the original generators alongside), each carrying its cofactors
     over the original generators when certificates are requested, and the
     diagram of their leads.  Nothing is dehomogenized here;
-    ``_completion_result`` does that for the cache entry.
+    ``_completion_result`` does that on the first read of the cached
+    result's basis.
     """
     n = order.n
     if not generators:
@@ -789,15 +837,15 @@ def _complete(
     return packing, kept, diagram
 
 
-def _completion_result(
-    n: int, count: int, packing: _Packing, elems, certified: bool
-) -> CompletionResult:
-    """Back to the local world: the ``CompletionResult`` of the graded
+def _completion_result(n: int, count: int, packing: _Packing, elems, certified: bool):
+    """Back to the local world: the (basis, certificates) of the graded
     elements ``_complete`` kept from ``count`` generators.
 
     Each kept element is evaluated at grading variable 1 and scaled monic
     on its initial coefficient; repeats are dropped.  Certificates come
-    with it when the elements carry cofactors (``certified``).
+    with it when the elements carry cofactors (``certified``), else None.
+    A cached ``CompletionResult`` calls this on the first read of its
+    basis or certificates, never before.
     """
     out_basis = []
     out_certs = []
@@ -815,7 +863,7 @@ def _completion_result(
         out_basis.append(p)
         if certified:
             out_certs.append(tuple(_cofactor_polys(n, b.cof, count, lc)))
-    return CompletionResult(tuple(out_basis), tuple(out_certs) if certified else None)
+    return tuple(out_basis), tuple(out_certs) if certified else None
 
 
 def standard_basis_complete(

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from germlab import cli, germs
+from germlab import cli, germs, standard_basis
 from germlab.cli import main, run_job, run_suite
 from germlab.seeding import derive_seed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_job(path, **fields):
@@ -554,3 +560,150 @@ def test_suite_survives_recursion_overflow(tmp_path, monkeypatch):
     assert deep["error"]["bound"] == "recursion_depth"
     good = json.loads((tmp_path / "out" / "b-good.report.json").read_text(encoding="utf-8"))
     assert good["result"]["vertices"] == [[1, 1]]
+
+
+def test_internal_error_is_an_exit_2_report(tmp_path, monkeypatch, capsys):
+    real = cli._execute
+
+    def faulty(job, limits):
+        if job.command == "hs":
+            raise ZeroDivisionError("division by zero")
+        return real(job, limits)
+
+    monkeypatch.setattr(cli, "_execute", faulty)
+    path = write_job(tmp_path / "hs.json", **HS_JOB)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["error"] == {
+        "kind": "internal",
+        "exception": "ZeroDivisionError",
+        "message": "division by zero",
+    }
+    assert "Traceback" in captured.err and "ZeroDivisionError" in captured.err
+
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    write_job(jobs / "a-faulty.json", **HS_JOB)
+    write_job(jobs / "b-good.json", **base_job())
+    out = tmp_path / "out"
+    assert main(["suite", str(jobs), "--out", str(out)]) == 1
+    aggregate = json.loads(capsys.readouterr().out)
+    by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
+    assert by_name == {"a-faulty.json": 2, "b-good.json": 0}
+    faulty_report = json.loads((out / "a-faulty.report.json").read_text(encoding="utf-8"))
+    assert faulty_report["error"]["kind"] == "internal"
+    good = json.loads((out / "b-good.report.json").read_text(encoding="utf-8"))
+    assert good["status"] == "ok" and good["result"]["vertices"] == [[1, 1]]
+
+
+def test_interrupts_are_not_reported(tmp_path, monkeypatch):
+    def interrupted(job, limits):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_execute", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_job(write_job(tmp_path / "hs.json", **HS_JOB))
+
+
+def test_hs_and_dim_jobs_build_no_basis(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a diagram-only job built a basis")
+
+    monkeypatch.setattr(standard_basis, "_completion_result", refused)
+    hs = write_job(
+        tmp_path / "hs.json",
+        **base_job(ideal=["x1^2-x2^3", "x1*x2"], command="hs", parameters={"eta_max": 4}),
+    )
+    report, code = run_job(hs)
+    assert code == 0 and report["result"]["hs"] == [1, 3, 4, 5, 5]
+    dim = write_job(
+        tmp_path / "dim.json",
+        **base_job(ideal=["x1^2-x2^3"], command="dim", parameters={"seed": 3}),
+    )
+    report, code = run_job(dim)
+    assert code == 0 and report["result"]["dimension"] == 1
+
+
+FRESH_MAIN = "import sys; from germlab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _fresh_env():
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    job = write_job(tmp_path / "d.json", **base_job())
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    write_job(jobs / "a-bad.json", **base_job(ideal=["x1^"]))
+    write_job(jobs / "b-good.json", **base_job())
+    parser = cli._parser()
+    out = object()  # each side writes its suite reports to its own directory
+    runs = [
+        (["--version"], 0),
+        (["frobnicate"], 2),
+        (["run"], 2),
+        (["run", str(job)], 0),
+        (["suite", str(jobs), "--out", out], 1),
+    ]
+    for argv, expected in runs:
+        here = [str(tmp_path / "out-here") if a is out else a for a in argv]
+        there = [str(tmp_path / "out-there") if a is out else a for a in argv]
+        got = _in_process(here, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, *there],
+            capture_output=True,
+            text=True,
+            env=_fresh_env(),
+            timeout=120,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got[0] == expected
+    assert cli._parser() is parser
+    for name in ("a-bad", "b-good"):
+        here = (tmp_path / "out-here" / f"{name}.report.json").read_bytes()
+        assert here == (tmp_path / "out-there" / f"{name}.report.json").read_bytes()
+
+
+def test_import_builds_no_parser():
+    script = textwrap.dedent(
+        """
+        import argparse, json
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        from germlab import cli
+        counts = [len(built)]
+        for _ in range(2):
+            try:
+                cli.main(["--version"])
+            except SystemExit:
+                pass
+            counts.append(len(built))
+        print(json.dumps(counts))
+        """
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_fresh_env(), timeout=120
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    imported, first, second = json.loads(fresh.stdout.splitlines()[-1])
+    # one parser and its two subcommand parsers, built once
+    assert imported == 0 and first == second == 3

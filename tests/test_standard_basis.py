@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -9,6 +11,7 @@ from germlab import (
     Poly,
     ResourceLimitError,
     ZeroPolynomialError,
+    cm_certify,
     degree_order,
     diagram_of_ideal,
     dimension_at_origin,
@@ -636,3 +639,104 @@ def test_diagram_and_completion_share_one_completion(monkeypatch):
     assert ideal.diagram(REV) == d
     assert ideal.completion(REV, certificates=False) is rich
 
+
+
+# -- the dehomogenized basis is built on first read ------------------------------
+
+
+def test_diagram_path_builds_no_basis(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a diagram-only caller built a basis")
+
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    ideal = IdealPresentation(2, gens)
+    unit = IdealPresentation(2, [p("x1*x2"), p("2 + x2")])
+    curve = IdealPresentation(2, [p("x1^2 - x2^3")])
+    monkeypatch.setattr(standard_basis, "_completion_result", refused)
+    d = diagram_of_ideal(ideal, REV)
+    assert is_proper(ideal, REV)
+    assert not is_proper(unit, REV)
+    dim = dimension_at_origin(curve, 3)
+    assert dim.dim == 1
+    # k = 1 of n = 2, so the certificate scans weighted diagrams
+    assert cm_certify(curve, 4, 3, dimension=dim).certified
+    # the result exists; reading its basis builds, and a failed build is retried
+    bare = ideal.completion(REV, certificates=False)
+    with pytest.raises(AssertionError):
+        bare.basis
+    monkeypatch.undo()
+
+    fresh = IdealPresentation(2, gens).completion(REV, certificates=False)
+    assert bare.basis == fresh.basis and bare.certificates is None
+    assert d == _diagram_by_initial_exponents(IdealPresentation(2, gens), REV)
+    rich = ideal.completion(REV, certificates=True)
+    assert rich.basis == bare.basis
+    assert _reexpands(rich, gens)
+
+
+def test_completion_result_keeps_its_value_semantics():
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    deferred = IdealPresentation(2, gens).completion(REV)
+    plain = standard_basis.CompletionResult(deferred.basis, deferred.certificates)
+    assert deferred == plain and not deferred != plain
+    assert repr(deferred) == repr(plain)
+    assert repr(plain).startswith("CompletionResult(basis=(")
+    assert deferred != standard_basis.CompletionResult(deferred.basis, None)
+    with pytest.raises(TypeError):
+        hash(plain)
+
+
+def test_concurrent_first_reads_complete_and_build_once(monkeypatch):
+    completed, built = [], []
+    real_complete = standard_basis._complete
+    real_result = standard_basis._completion_result
+
+    def counting_complete(*args):
+        completed.append(args[3])
+        return real_complete(*args)
+
+    def counting_result(*args):
+        built.append(args[4])
+        return real_result(*args)
+
+    monkeypatch.setattr(standard_basis, "_complete", counting_complete)
+    monkeypatch.setattr(standard_basis, "_completion_result", counting_result)
+    ideal = _three_generator_ideal()
+    order = degree_order(3, REVERSE)
+    count = 16  # more threads than cores
+    start = threading.Barrier(count)
+    bases, diagrams, errors = [None] * count, [None] * count, []
+
+    def reader(i):
+        try:
+            start.wait()
+            if i % 3 == 0:
+                diagrams[i] = ideal.diagram(order)
+                bases[i] = ideal.completion(order, certificates=False).basis
+            elif i % 3 == 1:
+                bases[i] = ideal.completion(order, certificates=False).basis
+                diagrams[i] = ideal.diagram(order)
+            else:
+                result = ideal.completion(order, certificates=False)
+                diagrams[i] = ideal.diagram(order)
+                bases[i] = result.basis
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert all(isinstance(b, tuple) and b == bases[0] for b in bases)
+    assert all(d == diagrams[0] for d in diagrams)
+    assert completed == [False] and built == [False]
+    monkeypatch.undo()
+    assert list(bases[0]) == standard_basis_complete(_three_generator_ideal(), order)
