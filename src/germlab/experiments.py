@@ -56,22 +56,13 @@ class PerturbationSpec:
 
 
 def tail_candidates(n: int, spec: PerturbationSpec):
-    """Admissible tail exponents, in a fixed deterministic order."""
-    out = []
-
-    def rec(i, prefix, degree_left):
-        if i == n:
-            exp = tuple(prefix)
-            if sum(exp) >= spec.mu + 1:
-                out.append(exp)
-            return
-        for b in range(degree_left + 1):
-            prefix.append(b)
-            rec(i + 1, prefix, degree_left - b)
-            prefix.pop()
-
-    rec(0, [], spec.tail_degree_max)
-    return sorted(out)
+    """Admissible tail exponents, in a fixed deterministic order: every
+    exponent of total degree in [mu + 1, tail_degree_max], sorted.  Built
+    one variable at a time, so no call recurses per variable."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (b,) for e in out for b in range(spec.tail_degree_max - sum(e) + 1)]
+    return sorted(e for e in out if sum(e) >= spec.mu + 1)
 
 
 def perturb(polys, spec: PerturbationSpec, trial_index: int, stream: str = ""):

@@ -357,10 +357,13 @@ def tangent_cone_ideal(
     """
     if order is None:
         order = degree_order(ideal.n, REVERSE)
+    # the basis is read anyway, so complete first: the diagram is then
+    # read off the cached completion, not certified by an echelon
+    completion = ideal.completion(order, limits, certificates=False)
     vertices = set(ideal.diagram(order, limits).vertices)
     if (0,) * ideal.n in vertices:
         raise UnitIdealError("tangent cone of the unit ideal is undefined")
-    basis = ideal.completion(order, limits, certificates=False).basis
+    basis = completion.basis
     out = []
     for g in basis:
         lead = initial_exponent(g, order)

@@ -24,6 +24,10 @@ grading variable t (Lazard's view of Mora's algorithm).  With the common
 power of t divided out, a polynomial's ecart is the t-exponent of its
 homogenized lead, and adjoining the current polynomial followed by a shift
 by t^k is what lets a reducer of larger ecart divide it.
+
+Diagrams of zero-dimensional ideals need no completion: the same kernel
+top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
+cover a window of weights, and the minimal pivots are the diagram.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
@@ -306,10 +310,12 @@ class CompletionResult:
     Certificates are None when the completion ran in verdict-only mode.
 
     ``CompletionResult(basis, certificates)`` holds both as given.  A result
-    made by the presentation cache holds the graded elements instead and
+    made by the presentation cache holds the graded elements instead (or,
+    when an echelon certified the entry's diagram, only the generators) and
     builds basis and certificates on the first read of either, once, under
-    the presentation's lock; a build that raises is retried on the next
-    read.  Equality and repr read both, so they build too.
+    the presentation's lock, completing first if no completion ran yet; a
+    build that raises is retried on the next read.  Equality and repr read
+    both, so they build too.
     """
 
     __slots__ = ("_basis", "_certificates", "_build", "_lock", "__weakref__")
@@ -360,15 +366,21 @@ class IdealPresentation:
     """Generator list with cached standard bases and diagrams per order.
 
     An empty generator list represents the zero ideal.  Each cache entry
-    holds one completion's ``CompletionResult``, the diagram read off its
-    graded leads and whether it carries certificates.  The result builds
-    its dehomogenized basis on first read, so a caller that only asks for
-    diagrams never pays for one.  ``diagram`` goes through ``completion``,
-    so every completion of a presentation is one ``completion`` call,
-    whoever asks for it.  Completing and building run under one lock, each
-    once per entry, so concurrent readers are safe; a cached verdict-only
-    entry is replaced by a certified one when certificates are requested
-    later.
+    holds a ``CompletionResult``, the diagram and whether the result carries
+    certificates.  The diagram is read off the completion's graded leads,
+    or, when ``diagram`` meets an empty entry, certified without any
+    completion by the truncated echelon of ``_echelon_diagram`` (the
+    zero-dimensional ideals it can settle).  The result builds its
+    dehomogenized basis on first read, completing then if the echelon
+    stood in for the completion, so a caller that only asks for diagrams
+    never pays for a basis, and for an echelon-certified diagram not for a
+    completion either.  A presentation completes at most once per order
+    (twice when certificates are asked of a verdict-only entry).
+    ``diagram`` still goes through ``completion``, so every diagram is one
+    ``completion`` call, whoever asks for it.  Certifying, completing and
+    building run under one lock, each once per entry, so concurrent readers
+    are safe; a cached verdict-only entry is replaced by a certified one
+    when certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -396,19 +408,33 @@ class IdealPresentation:
             self.n, list(self.generators) + [g for g in extra if not g.is_zero]
         )
 
-    def _entry(self, order: LocalOrder, limits: ResourceLimits, certificates: bool):
+    def _entry(
+        self, order: LocalOrder, limits: ResourceLimits, certificates: bool, echelon: bool = False
+    ):
         """The cache entry (result, diagram, certified) of ``order``,
         completing when there is none or when certificates are asked of a
-        verdict-only one.  The result's basis is left to its first read."""
+        verdict-only one.  The result's basis is left to its first read.
+
+        With ``echelon`` (verdict-only calls) a missing entry first tries
+        ``_echelon_diagram``; when that certifies the diagram, the entry
+        holds it and the result runs the completion too on its first read,
+        under these ``limits``.
+        """
         with self._lock:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
-                packing, elems, diagram = _complete(self.generators, order, limits, certificates)
-                n, count = self.n, len(self.generators)
-                result = CompletionResult._deferred(
-                    lambda: _completion_result(n, count, packing, elems, certificates),
-                    self._lock,
-                )
+                gens, n = self.generators, self.n
+                diagram = _echelon_diagram(gens, order) if echelon else None
+                done = None
+                if diagram is None:
+                    done = _complete(gens, order, limits, certificates)
+                    diagram = done[2]
+
+                def build():
+                    packing, elems, _ = done or _complete(gens, order, limits, certificates)
+                    return _completion_result(n, len(gens), packing, elems, certificates)
+
+                result = CompletionResult._deferred(build, self._lock)
                 got = self._cache[order] = (result, diagram, certificates)
             return got
 
@@ -423,10 +449,17 @@ class IdealPresentation:
     def diagram(
         self, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
     ) -> Diagram:
-        """Diagram of initial exponents of the completed basis, read off the
-        graded leads of the cached (verdict-only, unless certified) entry."""
+        """Diagram of initial exponents of the ideal under ``order``.
+
+        A cached entry answers at once.  On a miss the truncated echelon of
+        ``_echelon_diagram`` is tried first; when it gives no answer the
+        verdict-only completion runs and the diagram is read off its graded
+        leads.  Either way the call also goes through ``completion``, which
+        then finds the entry cached.
+        """
+        diagram = self._entry(order, limits, False, echelon=True)[1]
         self.completion(order, limits, certificates=False)
-        return self._entry(order, limits, False)[1]
+        return diagram
 
 
 class _Packing:
@@ -866,6 +899,100 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
     return tuple(out_basis), tuple(out_certs) if certified else None
 
 
+# The widest truncated Macaulay matrix ``_echelon_diagram`` builds, counted
+# in columns before anything is allocated; wider inputs go to ``_complete``.
+_ECHELON_COLUMNS = 2000
+
+
+def _echelon_diagram(generators, order: LocalOrder) -> Diagram | None:
+    """The diagram of a zero-dimensional ideal from one exact truncated
+    Macaulay echelon, or None when the input is left to ``_complete``.
+
+    The rows are the multiples x^a * g of the content-stripped integer
+    generators, every term of weight above eta dropped, on packed keys
+    with grading variable 0, so key order is the local order and a row's
+    smallest key is its lead.  Each row is top-reduced through ``_submul``
+    against the pivot rows, its content stripped after every step.  The
+    rows span the ideal modulo the monomials of weight above eta, and the
+    order is led by the weight, so the pivots are exactly the initial
+    exponents of weight at most eta (Lazard, EUROCAL 1983).  Once every
+    monomial with weight in (eta - w, eta] is a pivot, w the largest
+    variable weight, each monomial above eta has a pivot divisor among
+    them: no vertex lies above eta, and the diagram is the set of minimal
+    pivots (Greuel-Pfister ch. 1, the highest corner).  A window of weight
+    eta alone is not enough under unequal weights.
+
+    The rows are truncated once, at the largest top weight of a generator,
+    and enter in batches by the weight of their initial term, weight(a)
+    plus the order of g.  A row's lead only climbs, so the pivots of
+    weight at most eta all come from the batches up to eta, and the window
+    of eta is checked as soon as its batch is in.  The echelon is tried
+    only on inputs that can be zero-dimensional, with at least n
+    generators and a pure power of every variable (a constant counts for
+    all) among their terms, and only when the number of monomials of
+    weight at most the top weight, bounded by C(top + n, n), is at most
+    ``_ECHELON_COLUMNS``.  An input whose window is not covered by the top
+    weight also gives None.
+    """
+    n = order.n
+    if len(generators) < n:
+        return None
+    form = order.form
+    axes = set()
+    top = 0
+    for g in generators:
+        for e in g.exponents():
+            top = max(top, form.weight(e))
+            support = [i for i, b in enumerate(e) if b]
+            if len(support) < 2:
+                axes.update(support or range(n))
+    if len(axes) < n or comb(top + n, n) > _ECHELON_COLUMNS:
+        return None
+
+    # the content-stripped integer generators of _homogenize with grading
+    # variable 0; a graded lead's weight is its generator's order
+    packing, elems, _ = _homogenize(generators, order)
+    mask, wshift = packing.max_grade, packing.wshift
+    gens = [
+        (b.lead >> wshift, [(k - (k & mask), k >> wshift, c) for k, c in b.poly.items()])
+        for b in elems
+    ]
+    # the packed monomials of each weight up to the top one
+    monos = [(0, 0)]
+    for w, mult in zip(form.weights, packing.mults):
+        monos = [(v + b * w, k + b * mult) for v, k in monos for b in range((top - v) // w + 1)]
+    layers = [[] for _ in range(top + 1)]
+    for v, k in monos:
+        layers[v].append(k)
+
+    pivots: dict = {}
+    found = [0] * (top + 1)  # pivots per weight
+    span = max(form.weights)
+    for eta in range(top + 1):
+        for low, terms in gens:
+            if low > eta:
+                continue
+            room = top - (eta - low)
+            for shift in layers[eta - low]:
+                row = {shift + k: c for k, w, c in terms if w <= room}
+                while row:
+                    lead = min(row)
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        pivots[lead] = row
+                        found[lead >> wshift] += 1
+                        break
+                    _submul(row, pivot[lead], row[lead], 0, pivot)
+                    content = _int_content(row) if row else 1
+                    if content != 1:
+                        for e in row:
+                            row[e] //= content
+        window = range(max(0, eta - span + 1), eta + 1)
+        if all(found[w] == len(layers[w]) for w in window):
+            return vertices_from_exponents(map(packing.xpart, pivots), n)
+    return None
+
+
 def standard_basis_complete(
     ideal: IdealPresentation,
     order: LocalOrder,
@@ -885,7 +1012,9 @@ def standard_basis_complete(
 def diagram_of_ideal(
     ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> Diagram:
-    """Diagram of initial exponents, read off the completion's graded leads."""
+    """Diagram of initial exponents: ``ideal.diagram`` (the truncated
+    echelon for the zero-dimensional ideals it settles, else the
+    completion's graded leads)."""
     return ideal.diagram(order, limits)
 
 

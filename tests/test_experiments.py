@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from germlab import (
@@ -57,6 +59,16 @@ def test_perturb_no_admissible_terms():
     assert tail_candidates(2, spec) == []
     out = perturb([p("x1 - x2")], spec, 0)
     assert out == [p("x1 - x2")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tail_candidates_match_a_brute_force_enumeration(n):
+    for mu, tdm in ((0, 0), (0, 3), (2, 4), (3, 5), (6, 3)):
+        spec = PerturbationSpec(mu=mu, tail_degree_max=tdm, trials=1, rng_seed=1)
+        brute = [
+            e for e in product(range(tdm + 1), repeat=n) if mu + 1 <= sum(e) <= tdm
+        ]
+        assert tail_candidates(n, spec) == brute
 
 
 def test_determinacy_experiment_guaranteed():

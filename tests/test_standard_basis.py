@@ -38,9 +38,10 @@ from germlab.standard_basis import (
     cone_contains,
     is_proper,
 )
+from germlab.oracle import oracle_staircase
 from germlab.seeding import make_rng
 
-from _corpus import random_poly
+from _corpus import corpus, random_poly
 
 REV = degree_order(2, REVERSE)
 
@@ -622,11 +623,12 @@ def test_diagram_and_completion_share_one_completion(monkeypatch):
     d = diagram_of_ideal(ideal, REV)
     assert is_proper(ideal, REV)
     assert not is_proper(unit, REV)
-    # every diagram is a completion call, and each presentation completes once
-    assert asked == [REV] * 3 and completed == [False, False]
+    # every diagram is a completion call; at most one _complete per
+    # presentation, and none until a basis is read (the echelon certifies both)
+    assert asked == [REV] * 3 and completed == []
     bare = ideal.completion(REV, certificates=False)
     assert ideal.completion(REV, certificates=False) is bare
-    assert completed == [False, False]
+    assert completed == []
     monkeypatch.undo()
 
     assert d == _diagram_by_initial_exponents(IdealPresentation(2, gens), REV)
@@ -740,3 +742,109 @@ def test_concurrent_first_reads_complete_and_build_once(monkeypatch):
     assert completed == [False] and built == [False]
     monkeypatch.undo()
     assert list(bases[0]) == standard_basis_complete(_three_generator_ideal(), order)
+
+
+# -- diagrams of zero-dimensional ideals from one truncated echelon ----------------
+
+
+def _completed_diagram(ideal, order):
+    return standard_basis._complete(ideal.generators, order, DEFAULT_LIMITS, False)[2]
+
+
+def test_echelon_diagram_matches_the_completion_on_the_corpus():
+    orders = {n: [degree_order(n, t) for t in (REVERSE, FORWARD)] for n in (2, 3)}
+    orders[2] += [
+        LocalOrder(PositiveLinearForm(w), t) for w in ((1, 2), (2, 1)) for t in (REVERSE, FORWARD)
+    ]
+    certified = declined = 0
+    for ideal in corpus():
+        for order in orders[ideal.n]:
+            d = standard_basis._echelon_diagram(ideal.generators, order)
+            if d is None:
+                declined += 1
+                continue
+            certified += 1
+            assert d == _completed_diagram(ideal, order), (ideal, order)
+    assert certified > 0 and declined > 0
+
+
+def test_echelon_window_spans_the_largest_variable_weight():
+    order = LocalOrder(PositiveLinearForm((2, 1)), REVERSE)
+    ideal = IdealPresentation(2, [p("x2"), p("x1^3 + x1*x2^3")])
+    d = standard_basis._echelon_diagram(ideal.generators, order)
+    assert d == vertices_from_exponents([(0, 1), (3, 0)])
+    assert d == _completed_diagram(ideal, order)
+    # at eta = 5 every monomial of weight 5 is already a pivot, yet the
+    # vertex x1^3 (weight 6) is not: a window of weight eta alone would
+    # certify {x2} there
+    pivots = oracle_staircase(ideal, order, 5)
+    assert {(1, 3), (2, 1), (0, 5)} <= pivots and (3, 0) not in pivots
+
+
+def test_echelon_declines_before_building_a_row(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an echelon was started")
+
+    big = 2**40 + 2
+    declined = [
+        # one generator in two variables: never zero-dimensional
+        IdealPresentation(2, [p("x1^2 + x2^3")]),
+        # no pure power of x2: the x2 axis lies in the zero set
+        IdealPresentation(2, [p("x1^2 + x1*x2"), p("x1^3 - x1*x2^2")]),
+        # the column count C(top + n, n) is far past the cap
+        IdealPresentation(2, [Poly(2, {(0, 2): 1, (big, 0): 1}), Poly(2, {(big - 1, 1): 1})]),
+    ]
+    monkeypatch.setattr(standard_basis, "_Packing", refused)
+    for ideal in declined:
+        assert standard_basis._echelon_diagram(ideal.generators, REV) is None
+    monkeypatch.undo()
+    for ideal in declined:
+        assert diagram_of_ideal(ideal, REV) == _completed_diagram(ideal, REV)
+
+
+def test_positive_dimensional_ideal_falls_back():
+    # (x1^2 - x2^2) * (1, x1): a curve, though both axes carry pure powers
+    ideal = IdealPresentation(2, [p("x1^2 - x2^2"), p("x1^3 - x1*x2^2")])
+    assert standard_basis._echelon_diagram(ideal.generators, REV) is None
+    assert diagram_of_ideal(ideal, REV).vertices == frozenset({(2, 0)})
+
+
+@pytest.mark.parametrize(
+    "order", [REV, degree_order(2, FORWARD), LocalOrder(PositiveLinearForm((1, 2)), REVERSE)]
+)
+def test_basis_after_an_echelon_diagram(monkeypatch, order):
+    completed = []
+    real_complete = standard_basis._complete
+
+    def counting_complete(*args):
+        completed.append(args[3])
+        return real_complete(*args)
+
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    ideal = IdealPresentation(2, gens)
+    monkeypatch.setattr(standard_basis, "_complete", counting_complete)
+    d = ideal.diagram(order)
+    bare = ideal.completion(order, certificates=False)
+    assert completed == []
+    basis = bare.basis
+    assert completed == [False] and bare.basis is basis
+    monkeypatch.undo()
+
+    fresh = IdealPresentation(2, gens).completion(order, certificates=False)
+    assert basis == fresh.basis and bare.certificates is None
+    assert d == _completed_diagram(ideal, order)
+    rich = ideal.completion(order, certificates=True)
+    assert rich.basis == basis
+    assert _reexpands(rich, gens)
+    assert ideal.diagram(order) == d
+
+
+def test_tangent_cone_runs_no_echelon(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an echelon ran for a basis reader")
+
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    monkeypatch.setattr(standard_basis, "_echelon_diagram", refused)
+    cone = tangent_cone_ideal(IdealPresentation(2, gens))
+    monkeypatch.undo()
+    assert cone == tangent_cone_ideal(IdealPresentation(2, gens), REV)
