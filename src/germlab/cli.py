@@ -357,7 +357,8 @@ def run_job(path, limits: ResourceLimits | None = None):
         )
         return envelope, 2
     except RecursionError:
-        # the recursive staircase enumerations go one level per variable
+        # the oracle's box enumeration recurses once per variable; any other
+        # overflow is a genuine fault
         envelope.update(
             status="error",
             error={

@@ -10,7 +10,7 @@ Hilbert-Samuel data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import add
 
 from .orders import PositiveLinearForm, degree_form, exp_divides
@@ -93,44 +93,28 @@ def _complement_histogram(d: Diagram, weights, eta: int) -> list:
     """hist[w]: lattice points outside the staircase of weight exactly w,
     for w = 0..eta.
 
-    Recursive walk over the leading coordinates of the points, one variable
-    per level, keeping the vertices that lie below the prefix so far (only
-    they can still dominate a point with that prefix).  A prefix with a kept
-    vertex that is zero on every remaining coordinate lies inside the
-    staircase and is skipped.  A prefix with no kept vertex counts every
-    completion, read off the tail histogram of the remaining coordinates:
-    the walk of the next coordinate with no vertices, kept per coordinate.
-    As the value b of a coordinate grows the kept vertices only accumulate,
-    so the walk below is redone only when b passes a vertex coordinate and
-    is shifted by the weight of b in between.  Points inside the staircase
-    are never materialized.
+    One pass per variable over the prefixes of the points, grouped by the
+    vertices below the prefix (only they can still dominate its points);
+    equal groups share one weight histogram.  The vertices below only
+    accumulate as the next coordinate b grows, and once one is zero on every
+    later coordinate, the points with that b or any larger one lie inside
+    the staircase.  The answer is the group with no vertex left.
     """
-    n = d.n
-    tails: dict = {}
-
-    def walk(i: int, active) -> list | None:
-        # None when a kept vertex dominates every point with this prefix
-        if any(not any(v[i:]) for v in active):
-            return None
-        if i == n:
-            return [1] + [0] * eta
-        if not active and i in tails:
-            return tails[i]
-        w = weights[i]
-        hist = [0] * (eta + 1)
-        prev = sub = None
-        for b in range(eta // w + 1):
-            kept = [v for v in active if v[i] <= b]
-            if kept != prev:
-                prev, sub = kept, walk(i + 1, kept)
-            if sub is not None:
+    groups = {tuple(sorted(d.vertices)): [1] + [0] * eta}
+    for i, w in enumerate(weights):
+        merged: dict = {}
+        for below, hist in groups.items():
+            steps = {v[i] for v in below}
+            for b in range(eta // w + 1):
+                if b == 0 or b in steps:
+                    kept = tuple(v for v in below if v[i] <= b)
+                    if any(not any(v[i + 1:]) for v in kept):
+                        break
+                    target = merged.setdefault(kept, [0] * (eta + 1))
                 off = w * b
-                hist[off:] = map(add, hist[off:], sub)
-        if not active:
-            tails[i] = hist
-        return hist
-
-    return walk(0, sorted(d.vertices)) or [0] * (eta + 1)
+                target[off:] = map(add, target[off:], hist)
+        groups = merged
+    return groups.get((), [0] * (eta + 1))
 
 
 def complement_count(d: Diagram, form: PositiveLinearForm, eta: int) -> int:
@@ -158,6 +142,12 @@ def hilbert_samuel(d: Diagram, eta_max: int) -> HilbertSamuelTable:
     return HilbertSamuelTable(tuple(accumulate(hist)))
 
 
+def _vertex_axes(d: Diagram) -> set:
+    """The axes that carry a vertex, a positive multiple of a unit vector."""
+    supports = ([i for i, e in enumerate(v) if e] for v in d.vertices)
+    return {s[0] for s in supports if len(s) == 1}
+
+
 def has_axis_vertices(d: Diagram, k: int) -> bool:
     """True iff each of the first k axes carries a vertex.
 
@@ -166,19 +156,14 @@ def has_axis_vertices(d: Diagram, k: int) -> bool:
     """
     if not 1 <= k <= d.n:
         raise ValueError(f"k must be in 1..{d.n}")
-    for i in range(k):
-        if not any(
-            v[i] > 0 and all(v[j] == 0 for j in range(d.n) if j != i)
-            for v in d.vertices
-        ):
-            return False
-    return True
+    return _vertex_axes(d).issuperset(range(k))
 
 
 def axis_vertex_prefix(d: Diagram) -> int:
     """Largest k with vertices on all of the first k axes (0 if none)."""
+    axes = _vertex_axes(d)
     k = 0
-    while k < d.n and has_axis_vertices(d, k + 1):
+    while k in axes:
         k += 1
     return k
 
@@ -188,13 +173,23 @@ def staircase_dimension(d: Diagram) -> int:
     vertex is supported inside the coordinate set S.
 
     n for the empty diagram; -1 when the origin is a vertex (unit ideal).
+    S is the complement of the fewest coordinates that meet every support,
+    found by branching on the smallest support not yet met and cut at the
+    best size so far.
     """
-    supports = [{i for i, e in enumerate(v) if e} for v in d.vertices]
-    for size in range(d.n, -1, -1):
-        for s in map(set, combinations(range(d.n), size)):
-            if not any(sup <= s for sup in supports):
-                return size
-    return -1
+    supports = [frozenset(i for i, e in enumerate(v) if e) for v in d.vertices]
+    if frozenset() in supports:
+        return -1
+    best = d.n
+    stack = [frozenset()]
+    while stack:
+        chosen = stack.pop()
+        unmet = [s for s in supports if not s & chosen]
+        if not unmet:
+            best = min(best, len(chosen))
+        elif len(chosen) + 1 < best:
+            stack.extend(chosen | {i} for i in min(unmet, key=len))
+    return d.n - best
 
 
 def product_structure(d: Diagram, k: int):

@@ -11,6 +11,7 @@ witness matrix and the seed, so it can be re-checked deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .diagram import (
     Diagram,
@@ -66,13 +67,6 @@ def _identity(n: int):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _binomial(a: int, b: int) -> int:
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
-
-
 def _fixed_changes(n: int):
     """Deterministic strong candidates tried before random sampling.
 
@@ -81,10 +75,10 @@ def _fixed_changes(n: int):
     almost always; a column-scaled variant backs it up.
     """
     pascal = tuple(
-        tuple(_binomial(i + j, i) for j in range(n)) for i in range(n)
+        tuple(comb(i + j, i) for j in range(n)) for i in range(n)
     )
     scaled = tuple(
-        tuple(_binomial(i + j, i) * (j + 1) for j in range(n)) for i in range(n)
+        tuple(comb(i + j, i) * (j + 1) for j in range(n)) for i in range(n)
     )
     return [_identity(n), pascal, scaled]
 

@@ -528,8 +528,9 @@ HS_JOB = base_job(command="hs", parameters={"eta_max": 2})
 
 
 def overflow_hs(monkeypatch):
-    """Make the hs command overflow the recursion limit, as the staircase
-    enumerations do on a few hundred variables."""
+    """Make the hs command overflow the recursion limit, as a fault would;
+    the staircase counts no longer recurse, only the oracle's box
+    enumeration does, once per variable."""
 
     def deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

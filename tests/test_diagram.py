@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from germlab import (
@@ -67,7 +69,8 @@ def test_complement_count_examples():
 
 def test_complement_count_against_enumeration():
     rng = make_rng("diagram-oracle")
-    for n in (2, 3):
+    # n = 1 and 4 come after the first two, so those draws stay as they were
+    for n in (2, 3, 1, 4):
         for _ in range(25):
             exps = {
                 tuple(rng.randint(0, 4) for _ in range(n))
@@ -79,6 +82,17 @@ def test_complement_count_against_enumeration():
             form = PositiveLinearForm(weights)
             eta = rng.randint(0, 7)
             assert complement_count(d, form, eta) == brute_complement(d, form, eta)
+
+
+def test_staircase_counts_on_2000_variables():
+    # one pass per variable, no recursion: (x1) on 2000 variables
+    n = 2000
+    d = Diagram(n, frozenset({(1,) + (0,) * (n - 1)}))
+    assert hilbert_samuel(d, 2).to_list() == [1, 2000, 2001000]
+    assert complement_count(d, degree_form(n), 2) == 2001000
+    # weights 1, 2, 1, 2, ...: 999 free variables of weight 1, 1000 of weight 2
+    form = PositiveLinearForm((1, 2) * (n // 2))
+    assert complement_count(d, form, 2) == 1 + 999 + 999 * 1000 // 2 + 1000
 
 
 def test_hilbert_samuel_examples():
@@ -181,6 +195,32 @@ def test_staircase_dimension_examples():
     # (x1*x2, x1*x3): the plane x1 = 0
     assert staircase_dimension(Diagram(3, frozenset({(1, 1, 0), (1, 0, 1)}))) == 2
     assert staircase_dimension(Diagram(2, frozenset({(0, 0)}))) == -1  # unit ideal
+
+
+def enumerated_dimension(d):
+    """The largest coordinate set containing no vertex support, by trying
+    every subset from size n down (the reference the search must match)."""
+    supports = [{i for i, e in enumerate(v) if e} for v in d.vertices]
+    for size in range(d.n, -1, -1):
+        for s in map(set, combinations(range(d.n), size)):
+            if not any(sup <= s for sup in supports):
+                return size
+    return -1
+
+
+def test_staircase_dimension_against_enumeration():
+    rng = make_rng("staircase-dimension-search")
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        exps = {
+            tuple(rng.randint(0, 1) * rng.randint(1, 3) for _ in range(n))
+            for _ in range(rng.randint(0, 6))
+        }
+        d = vertices_from_exponents(exps, n)
+        assert staircase_dimension(d) == enumerated_dimension(d), d
+    # 20 axes of 40 variables: the enumeration would try C(40, 20) sets
+    axes = vertices_from_exponents([tuple(int(j == i) for j in range(40)) for i in range(20)], 40)
+    assert staircase_dimension(axes) == 20
 
 
 def test_staircase_dimension_is_the_hilbert_samuel_degree():
