@@ -379,19 +379,32 @@ def tangent_cones_equal(
 
     For the degree order the initial forms of a standard basis are a
     standard basis of the tangent cone, so each cone has the diagram of its
-    ideal and no cone needs completing.  Two homogeneous ideals with equal
-    diagrams, one contained in the other, are equal.  Containment runs on
-    the packed integer kernel: cone a's generators, homogeneous, are a
-    Groebner basis of the graded cone, and ``cone_contains`` fully reduces
-    each of cone b's generators against them.
+    ideal and no cone needs completing.  The diagrams are read first, so
+    unequal ones decide without any basis.  Two homogeneous ideals with
+    equal diagrams, one contained in the other, are equal.  Each cone's
+    generators come from the echelon's vertex rows when the echelon
+    certified the ideal's diagram, so such an ideal is not completed
+    either, and from ``tangent_cone_ideal`` otherwise; either way they are
+    a Groebner basis of the graded cone.  Containment runs on the packed
+    integer kernel: ``cone_contains`` fully reduces each of cone b's
+    generators against cone a's.
     """
     if ideal_a.n != ideal_b.n:
         raise DimensionMismatchError("ideals on different ambient sizes")
     order = degree_order(ideal_a.n, REVERSE)
-    gens_a = tangent_cone_ideal(ideal_a, order, limits)
-    gens_b = tangent_cone_ideal(ideal_b, order, limits)
-    if diagram_of_ideal(ideal_a, order, limits) != diagram_of_ideal(ideal_b, order, limits):
+    origin = (0,) * ideal_a.n
+    diagrams = []
+    for ideal in (ideal_a, ideal_b):
+        d = diagram_of_ideal(ideal, order, limits)
+        if origin in d.vertices:
+            raise UnitIdealError("tangent cone of the unit ideal is undefined")
+        diagrams.append(d)
+    if diagrams[0] != diagrams[1]:
         return False
+    gens_a, gens_b = (
+        ideal._echelon_cone(order) or tangent_cone_ideal(ideal, order, limits)
+        for ideal in (ideal_a, ideal_b)
+    )
     return cone_contains(gens_a, gens_b, order, limits)
 
 

@@ -27,7 +27,9 @@ by t^k is what lets a reducer of larger ecart divide it.
 
 Diagrams of zero-dimensional ideals need no completion: the same kernel
 top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
-cover a window of weights, and the minimal pivots are the diagram.
+cover a window of weights, and the minimal pivots are the diagram.  The
+lowest-weight parts of the pivot rows at the vertices generate the
+tangent cone, so such an ideal needs no completion for its cone either.
 """
 
 from __future__ import annotations
@@ -366,11 +368,14 @@ class IdealPresentation:
     """Generator list with cached standard bases and diagrams per order.
 
     An empty generator list represents the zero ideal.  Each cache entry
-    holds a ``CompletionResult``, the diagram and whether the result carries
-    certificates.  The diagram is read off the completion's graded leads,
-    or, when ``diagram`` meets an empty entry, certified without any
-    completion by the truncated echelon of ``_echelon_diagram`` (the
-    zero-dimensional ideals it can settle).  The result builds its
+    holds a ``CompletionResult``, the diagram, whether the result carries
+    certificates and, for a diagram the echelon certified, its vertex rows.
+    The diagram is read off the completion's graded leads, or, when
+    ``diagram`` meets an empty entry, certified without any completion by
+    the truncated echelon of ``_echelon_diagram`` (the zero-dimensional
+    ideals it can settle).  The vertex rows give the tangent cone
+    (``_echelon_cone``) with no completion either; an entry made or
+    replaced by a completion keeps none.  The result builds its
     dehomogenized basis on first read, completing then if the echelon
     stood in for the completion, so a caller that only asks for diagrams
     never pays for a basis, and for an echelon-certified diagram not for a
@@ -411,31 +416,34 @@ class IdealPresentation:
     def _entry(
         self, order: LocalOrder, limits: ResourceLimits, certificates: bool, echelon: bool = False
     ):
-        """The cache entry (result, diagram, certified) of ``order``,
+        """The cache entry (result, diagram, certified, rows) of ``order``,
         completing when there is none or when certificates are asked of a
         verdict-only one.  The result's basis is left to its first read.
 
         With ``echelon`` (verdict-only calls) a missing entry first tries
         ``_echelon_diagram``; when that certifies the diagram, the entry
-        holds it and the result runs the completion too on its first read,
-        under these ``limits``.
+        holds it with the echelon's (packing, vertex rows), and the result
+        runs the completion too on its first read, under these ``limits``.
+        An entry made by ``_complete`` has rows None.
         """
         with self._lock:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
                 gens, n = self.generators, self.n
-                diagram = _echelon_diagram(gens, order) if echelon else None
-                done = None
-                if diagram is None:
+                certified = _echelon_diagram(gens, order) if echelon else None
+                done = rows = None
+                if certified is None:
                     done = _complete(gens, order, limits, certificates)
                     diagram = done[2]
+                else:
+                    diagram, rows = certified[0], certified[1:]
 
                 def build():
                     packing, elems, _ = done or _complete(gens, order, limits, certificates)
                     return _completion_result(n, len(gens), packing, elems, certificates)
 
                 result = CompletionResult._deferred(build, self._lock)
-                got = self._cache[order] = (result, diagram, certificates)
+                got = self._cache[order] = (result, diagram, certificates, rows)
             return got
 
     def completion(
@@ -460,6 +468,30 @@ class IdealPresentation:
         diagram = self._entry(order, limits, False, echelon=True)[1]
         self.completion(order, limits, certificates=False)
         return diagram
+
+    def _echelon_cone(self, order: LocalOrder):
+        """The tangent cone's generators from the echelon, or None.
+
+        When the entry of ``order`` holds the echelon's vertex rows, each
+        row's lowest-weight part, made monic on its lead, is the initial
+        form of a standard-basis element: one form per vertex, together a
+        Groebner basis of the cone for ``order``.  None when there is no
+        entry or it was made by a completion.
+        """
+        got = self._cache.get(order)
+        if got is None or got[3] is None:
+            return None
+        packing, rows = got[3]
+        wshift = packing.wshift
+        forms = []
+        for row in rows:
+            lead = min(row)
+            weight, lc = lead >> wshift, row[lead]
+            terms = {
+                packing.xpart(k): Fraction(c, lc) for k, c in row.items() if k >> wshift == weight
+            }
+            forms.append(_raw(self.n, terms))
+        return forms
 
 
 class _Packing:
@@ -904,9 +936,10 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
 _ECHELON_COLUMNS = 2000
 
 
-def _echelon_diagram(generators, order: LocalOrder) -> Diagram | None:
+def _echelon_diagram(generators, order: LocalOrder):
     """The diagram of a zero-dimensional ideal from one exact truncated
-    Macaulay echelon, or None when the input is left to ``_complete``.
+    Macaulay echelon, as (diagram, packing, rows), or None when the input
+    is left to ``_complete``.
 
     The rows are the multiples x^a * g of the content-stripped integer
     generators, every term of weight above eta dropped, on packed keys
@@ -933,6 +966,13 @@ def _echelon_diagram(generators, order: LocalOrder) -> Diagram | None:
     weight at most the top weight, bounded by C(top + n, n), is at most
     ``_ECHELON_COLUMNS``.  An input whose window is not covered by the top
     weight also gives None.
+
+    ``rows`` are the pivot rows whose leads are the vertices, in sorted
+    vertex order, as packed integer dicts of ``packing``.  Each is the
+    truncation above the top weight of an element of the ideal whose lead
+    is its own, of weight at most eta, so the row's lowest-weight part is
+    that element's initial form: the rows are a standard basis, truncated,
+    and their lowest-weight parts a Groebner basis of the tangent cone.
     """
     n = order.n
     if len(generators) < n:
@@ -989,7 +1029,9 @@ def _echelon_diagram(generators, order: LocalOrder) -> Diagram | None:
                             row[e] //= content
         window = range(max(0, eta - span + 1), eta + 1)
         if all(found[w] == len(layers[w]) for w in window):
-            return vertices_from_exponents(map(packing.xpart, pivots), n)
+            diagram = vertices_from_exponents(map(packing.xpart, pivots), n)
+            rows = [pivots[packing.pack((*v, 0))] for v in sorted(diagram.vertices)]
+            return diagram, packing, rows
     return None
 
 

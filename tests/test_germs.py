@@ -354,6 +354,62 @@ def test_cones_equal_completes_nothing_after_the_diagrams(monkeypatch):
     assert len(completed) == 1  # the one unseen ideal, nothing for either cone
 
 
+def test_cones_of_echelon_certified_ideals_complete_nothing(monkeypatch):
+    completed = []
+    original = standard_basis._complete
+
+    def counting(*args, **kwargs):
+        completed.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(standard_basis, "_complete", counting)
+    order = degree_order(2, REVERSE)
+    a = ideal("x1^2 + x1^4", "x2^2 + x2^4")
+    b = ideal("x1^2 + x1*x2 + x1^4", "x2^2 + x2^4")
+    c = ideal("x1^2 + x1^3", "x2^2 - x2^4")
+    # equal diagrams, so each verdict comes from the cones
+    for I in (a, b, c):
+        assert diagram_of_ideal(I, order).vertices == {(2, 0), (0, 2)}
+    verdicts = [tangent_cones_equal(x, y) for x, y in ((a, b), (b, a), (a, c), (c, a))]
+    assert verdicts == [False, False, True, True]
+    assert completed == []
+    for I in (a, b, c):
+        assert I._echelon_cone(order) is not None
+    # a certified completion replaces a's entry, which keeps no rows; its
+    # cone then comes from the completed basis, with the same verdicts
+    a.completion(order, certificates=True)
+    assert completed == [True] and a._echelon_cone(order) is None
+    assert [tangent_cones_equal(x, y) for x, y in ((a, b), (b, a), (a, c), (c, a))] == verdicts
+    assert completed == [True]
+    # past the echelon's column cap the diagram is completed: one cone from
+    # rows, the other from the basis
+    wide_c = ideal("x1^2 + x1^70", "x2^2 - x2^4")
+    wide_b = ideal("x1^2 + x1*x2 + x1^70", "x2^2 + x2^4")
+    assert tangent_cones_equal(c, wide_c) and tangent_cones_equal(wide_c, c)
+    assert not tangent_cones_equal(c, wide_b) and not tangent_cones_equal(wide_b, c)
+    assert wide_c._echelon_cone(order) is None and completed == [True, False, False]
+
+
+def test_unequal_diagrams_build_no_basis(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a basis or a cone was built")
+
+    monkeypatch.setattr(standard_basis, "_completion_result", refused)
+    monkeypatch.setattr(germs, "cone_contains", refused)
+    pairs = [
+        (ideal("x1"), ideal("x2")),
+        (ideal("x1^2 - x2^3"), ideal("x1^3 + x2^2")),
+        # both certified by the echelon
+        (ideal("x1^2 + x1^4", "x2^2 + x2^4"), ideal("x1^3 + x1^5", "x2^2 + x2^4")),
+        (IdealPresentation(2, []), ideal("x1^2")),
+    ]
+    for a, b in pairs:
+        assert not tangent_cones_equal(a, b)
+        assert not tangent_cones_equal(b, a)
+    order = degree_order(2, REVERSE)
+    assert all(I._echelon_cone(order) is not None for I in pairs[2])
+
+
 def test_cones_equal_divides_on_the_packed_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("weak_normal_form called")

@@ -759,19 +759,41 @@ def test_echelon_diagram_matches_the_completion_on_the_corpus():
     certified = declined = 0
     for ideal in corpus():
         for order in orders[ideal.n]:
-            d = standard_basis._echelon_diagram(ideal.generators, order)
-            if d is None:
+            got = standard_basis._echelon_diagram(ideal.generators, order)
+            if got is None:
                 declined += 1
                 continue
             certified += 1
-            assert d == _completed_diagram(ideal, order), (ideal, order)
+            assert got[0] == _completed_diagram(ideal, order), (ideal, order)
+    assert certified > 0 and declined > 0
+
+
+def test_echelon_vertex_rows_give_the_tangent_cone_on_the_corpus():
+    certified = declined = 0
+    for ideal in corpus():
+        for tiebreak in (REVERSE, FORWARD):
+            order = degree_order(ideal.n, tiebreak)
+            fresh = IdealPresentation(ideal.n, ideal.generators)
+            d = fresh.diagram(order)
+            forms = fresh._echelon_cone(order)
+            if forms is None:
+                declined += 1
+                continue
+            certified += 1
+            # one monic form per vertex, led by it
+            assert [initial_exponent(f, order) for f in forms] == sorted(d.vertices)
+            assert all(f.coeff(initial_exponent(f, order)) == 1 for f in forms)
+            assert all(f.total_degree() == f.min_total_degree() for f in forms)
+            cone = tangent_cone_ideal(IdealPresentation(ideal.n, ideal.generators), order)
+            assert cone_contains(forms, cone, order), (ideal, order)
+            assert cone_contains(cone, forms, order), (ideal, order)
     assert certified > 0 and declined > 0
 
 
 def test_echelon_window_spans_the_largest_variable_weight():
     order = LocalOrder(PositiveLinearForm((2, 1)), REVERSE)
     ideal = IdealPresentation(2, [p("x2"), p("x1^3 + x1*x2^3")])
-    d = standard_basis._echelon_diagram(ideal.generators, order)
+    d = standard_basis._echelon_diagram(ideal.generators, order)[0]
     assert d == vertices_from_exponents([(0, 1), (3, 0)])
     assert d == _completed_diagram(ideal, order)
     # at eta = 5 every monomial of weight 5 is already a pivot, yet the
