@@ -23,13 +23,12 @@ from .diagram import (
 )
 from .errors import DimensionMismatchError, NotFlatError, UnitIdealError
 from .orders import REVERSE, LocalOrder, PositiveLinearForm, degree_order
-from .poly import Poly, apply_linear_change, exact_det, initial_exponent, initial_form
+from .poly import Poly, apply_linear_change, exact_det
 from .seeding import derive_seed, make_rng
 from .standard_basis import (
     DEFAULT_LIMITS,
     IdealPresentation,
     ResourceLimits,
-    cone_contains,
     diagram_of_ideal,
 )
 
@@ -342,32 +341,23 @@ def tangent_cone_ideal(
     order: LocalOrder | None = None,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ):
-    """Generators of the initial-form ideal: initial forms of a completed
-    standard basis, scaled monic on their initial coefficient.
+    """The reduced Groebner basis of the tangent cone for a degree order:
+    one monic generator per vertex of the diagram, led by it, every other
+    term a standard monomial, ascending by lead.
 
-    Only the first basis element whose initial exponent is each vertex of
-    the diagram is kept: those elements alone are a standard basis, so
-    their initial forms still generate the cone.
+    The basis is unique for the ideal and the order, so it does not depend
+    on the generators given or on which engine, the truncated echelon or
+    the completion, made the cached entry (``IdealPresentation._cone``).
+    An order whose weights are not all 1 raises ``ValueError``: the
+    initial forms of its standard basis need not generate the cone.
     """
     if order is None:
         order = degree_order(ideal.n, REVERSE)
-    # the basis is read anyway, so complete first: the diagram is then
-    # read off the cached completion, not certified by an echelon
-    completion = ideal.completion(order, limits, certificates=False)
-    vertices = set(ideal.diagram(order, limits).vertices)
-    if (0,) * ideal.n in vertices:
+    elif any(w != 1 for w in order.form.weights):
+        raise ValueError("the tangent cone needs a degree order (all weights 1)")
+    if (0,) * ideal.n in ideal.diagram(order, limits).vertices:
         raise UnitIdealError("tangent cone of the unit ideal is undefined")
-    basis = completion.basis
-    out = []
-    for g in basis:
-        lead = initial_exponent(g, order)
-        if lead not in vertices:
-            continue
-        vertices.remove(lead)
-        form = initial_form(g)
-        exp = min(form.exponents(), key=order.key)
-        out.append(form.scale(1 / form.coeff(exp)))
-    return out
+    return list(ideal._cone(order, limits))
 
 
 def tangent_cones_equal(
@@ -375,19 +365,15 @@ def tangent_cones_equal(
     ideal_b: IdealPresentation,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> bool:
-    """Equal diagrams plus one-sided containment of the initial-form ideals.
+    """Equal diagrams plus equal reduced bases of the tangent cones.
 
     For the degree order the initial forms of a standard basis are a
     standard basis of the tangent cone, so each cone has the diagram of its
-    ideal and no cone needs completing.  The diagrams are read first, so
-    unequal ones decide without any basis.  Two homogeneous ideals with
-    equal diagrams, one contained in the other, are equal.  Each cone's
-    generators come from the echelon's vertex rows when the echelon
-    certified the ideal's diagram, so such an ideal is not completed
-    either, and from ``tangent_cone_ideal`` otherwise; either way they are
-    a Groebner basis of the graded cone.  Containment runs on the packed
-    integer kernel: ``cone_contains`` fully reduces each of cone b's
-    generators against cone a's.
+    ideal.  The diagrams are read first, so unequal ones decide without any
+    cone.  Two homogeneous ideals are equal exactly when their reduced
+    Groebner bases are, and each presentation reduces its cone once
+    (``IdealPresentation._cone``), from the echelon's vertex rows when the
+    echelon certified its diagram, so such an ideal is not completed.
     """
     if ideal_a.n != ideal_b.n:
         raise DimensionMismatchError("ideals on different ambient sizes")
@@ -401,11 +387,7 @@ def tangent_cones_equal(
         diagrams.append(d)
     if diagrams[0] != diagrams[1]:
         return False
-    gens_a, gens_b = (
-        ideal._echelon_cone(order) or tangent_cone_ideal(ideal, order, limits)
-        for ideal in (ideal_a, ideal_b)
-    )
-    return cone_contains(gens_a, gens_b, order, limits)
+    return ideal_a._cone(order, limits) == ideal_b._cone(order, limits)
 
 
 @dataclass(frozen=True)

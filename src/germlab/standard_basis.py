@@ -18,18 +18,20 @@ staircase of the basis initial exponents; a zero remainder certifies ideal
 membership.  Units never move initial exponents, so every verdict built on
 top (membership, diagrams, Becker's criterion) is unaffected by them.
 
-Division, Becker's check, completion and cone containment all reduce
-through one kernel, ``_submul``, on integer polynomials homogenized with a
-grading variable t (Lazard's view of Mora's algorithm).  With the common
-power of t divided out, a polynomial's ecart is the t-exponent of its
-homogenized lead, and adjoining the current polynomial followed by a shift
-by t^k is what lets a reducer of larger ecart divide it.
+Division, Becker's check, completion and the tangent cone's reduced basis
+all reduce through one kernel, ``_submul``, on integer polynomials
+homogenized with a grading variable t (Lazard's view of Mora's algorithm).
+With the common power of t divided out, a polynomial's ecart is the
+t-exponent of its homogenized lead, and adjoining the current polynomial
+followed by a shift by t^k is what lets a reducer of larger ecart divide
+it.
 
 Diagrams of zero-dimensional ideals need no completion: the same kernel
 top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
-cover a window of weights, and the minimal pivots are the diagram.  The
-lowest-weight parts of the pivot rows at the vertices generate the
-tangent cone, so such an ideal needs no completion for its cone either.
+cover a window of weights, and the minimal pivots are the diagram.
+Either engine leaves one element per vertex, whose lowest-weight parts,
+reduced against each other, are the reduced basis of the tangent cone, so
+an ideal the echelon settles needs no completion for its cone either.
 """
 
 from __future__ import annotations
@@ -365,27 +367,29 @@ class CompletionResult:
 
 
 class IdealPresentation:
-    """Generator list with cached standard bases and diagrams per order.
+    """Generator list with cached standard bases, diagrams and tangent
+    cones per order.
 
     An empty generator list represents the zero ideal.  Each cache entry
     holds a ``CompletionResult``, the diagram, whether the result carries
-    certificates and, for a diagram the echelon certified, its vertex rows.
-    The diagram is read off the completion's graded leads, or, when
-    ``diagram`` meets an empty entry, certified without any completion by
-    the truncated echelon of ``_echelon_diagram`` (the zero-dimensional
-    ideals it can settle).  The vertex rows give the tangent cone
-    (``_echelon_cone``) with no completion either; an entry made or
-    replaced by a completion keeps none.  The result builds its
-    dehomogenized basis on first read, completing then if the echelon
-    stood in for the completion, so a caller that only asks for diagrams
-    never pays for a basis, and for an echelon-certified diagram not for a
-    completion either.  A presentation completes at most once per order
-    (twice when certificates are asked of a verdict-only entry).
-    ``diagram`` still goes through ``completion``, so every diagram is one
-    ``completion`` call, whoever asks for it.  Certifying, completing and
-    building run under one lock, each once per entry, so concurrent readers
-    are safe; a cached verdict-only entry is replaced by a certified one
-    when certificates are requested later.
+    certificates, and one packed element of the ideal per vertex with its
+    packing.  The diagram is read off the completion's graded leads, or,
+    when ``diagram`` meets an empty entry, certified without any
+    completion by the truncated echelon of ``_echelon_diagram`` (the
+    zero-dimensional ideals it can settle).  The per-vertex elements give
+    the tangent cone's reduced basis (``_cone``), whichever engine made the
+    entry, so an echelon-certified ideal needs no completion for its cone.
+    The result builds its dehomogenized basis on first read, completing
+    then if the echelon stood in for the completion, so a caller that only
+    asks for diagrams never pays for a basis, and for an echelon-certified
+    diagram not for a completion either.  A presentation completes at most
+    once per order (twice when certificates are asked of a verdict-only
+    entry) and reduces its cone once per order.  ``diagram`` still goes
+    through ``completion``, so every diagram is one ``completion`` call,
+    whoever asks for it.  Certifying, completing, building and reducing run
+    under one lock, each once per entry, so concurrent readers are safe; a
+    cached verdict-only entry is replaced by a certified one when
+    certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -401,6 +405,7 @@ class IdealPresentation:
         self.n = n
         self.generators = tuple(gens)
         self._cache: dict = {}
+        self._cones: dict = {}
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -416,34 +421,39 @@ class IdealPresentation:
     def _entry(
         self, order: LocalOrder, limits: ResourceLimits, certificates: bool, echelon: bool = False
     ):
-        """The cache entry (result, diagram, certified, rows) of ``order``,
-        completing when there is none or when certificates are asked of a
-        verdict-only one.  The result's basis is left to its first read.
+        """The cache entry (result, diagram, certified, packing, rows) of
+        ``order``, completing when there is none or when certificates are
+        asked of a verdict-only one.  The result's basis is left to its
+        first read.  ``rows`` holds one packed element of the ideal per
+        vertex, led by it: the echelon's vertex rows, or the first kept
+        graded element of the completion whose lead's x-part is the vertex.
 
         With ``echelon`` (verdict-only calls) a missing entry first tries
         ``_echelon_diagram``; when that certifies the diagram, the entry
-        holds it with the echelon's (packing, vertex rows), and the result
-        runs the completion too on its first read, under these ``limits``.
-        An entry made by ``_complete`` has rows None.
+        holds it, and the result runs the completion too on its first read,
+        under these ``limits``.
         """
         with self._lock:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
                 gens, n = self.generators, self.n
                 certified = _echelon_diagram(gens, order) if echelon else None
-                done = rows = None
+                done = None
                 if certified is None:
                     done = _complete(gens, order, limits, certificates)
-                    diagram = done[2]
+                    packing, elems, diagram = done
+                    # reversed, so the first kept element led by a vertex wins
+                    firsts = {b.lm[:n]: b.poly for b in reversed(elems)}
+                    rows = [firsts[v] for v in diagram.vertices]
                 else:
-                    diagram, rows = certified[0], certified[1:]
+                    diagram, packing, rows = certified
 
                 def build():
                     packing, elems, _ = done or _complete(gens, order, limits, certificates)
                     return _completion_result(n, len(gens), packing, elems, certificates)
 
                 result = CompletionResult._deferred(build, self._lock)
-                got = self._cache[order] = (result, diagram, certificates, rows)
+                got = self._cache[order] = (result, diagram, certificates, packing, rows)
             return got
 
     def completion(
@@ -469,29 +479,21 @@ class IdealPresentation:
         self.completion(order, limits, certificates=False)
         return diagram
 
-    def _echelon_cone(self, order: LocalOrder):
-        """The tangent cone's generators from the echelon, or None.
+    def _cone(self, order: LocalOrder, limits: ResourceLimits) -> tuple:
+        """The reduced Groebner basis of the tangent cone for the degree
+        ``order``, ascending by lead, reduced once and cached per order.
 
-        When the entry of ``order`` holds the echelon's vertex rows, each
-        row's lowest-weight part, made monic on its lead, is the initial
-        form of a standard-basis element: one form per vertex, together a
-        Groebner basis of the cone for ``order``.  None when there is no
-        entry or it was made by a completion.
+        The entry comes by the path of ``diagram``, the echelon first, and
+        ``_reduced_cone`` turns its per-vertex elements into the basis,
+        which depends only on the ideal and the order: not on the engine
+        that made the entry, the generators given or the calls before.
         """
-        got = self._cache.get(order)
-        if got is None or got[3] is None:
-            return None
-        packing, rows = got[3]
-        wshift = packing.wshift
-        forms = []
-        for row in rows:
-            lead = min(row)
-            weight, lc = lead >> wshift, row[lead]
-            terms = {
-                packing.xpart(k): Fraction(c, lc) for k, c in row.items() if k >> wshift == weight
-            }
-            forms.append(_raw(self.n, terms))
-        return forms
+        _, _, _, packing, rows = self._entry(order, limits, False, echelon=True)
+        with self._lock:
+            cone = self._cones.get(order)
+            if cone is None:
+                cone = self._cones[order] = _reduced_cone(self.n, packing, rows, limits)
+            return cone
 
 
 class _Packing:
@@ -717,6 +719,37 @@ def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
         if tmin:
             work = {e - tmin: v for e, v in work.items()}
     return work, steps
+
+
+def _reduced_cone(n: int, packing: _Packing, rows, limits: ResourceLimits) -> tuple:
+    """The reduced Groebner basis of the tangent cone, ascending by lead,
+    from one packed element of the ideal per vertex of its degree-order
+    diagram, each led by its vertex.
+
+    Each element is homogeneous in (x, t) with its lead the smallest key,
+    so its lowest-degree part, shifted to t = 0, is the initial form of the
+    element at t = 1: the forms are a Groebner basis of the cone, led by
+    the vertices.  Each form is fully reduced by ``_hreduce`` against the
+    others and made monic.  No other vertex divides its lead (the vertices
+    are an antichain), its lead divides none of its other terms (same
+    degree, other exponent), and a step only adds terms above the one it
+    removes; so the lead stays and every other term left is a standard
+    monomial, which makes the forms the reduced basis (Greuel-Pfister
+    ch. 1), unique for the ideal and the order.
+    """
+    forms = []
+    for row in rows:
+        lead = min(row)
+        weight, t = lead >> packing.wshift, lead & packing.max_grade
+        form = {k - t: c for k, c in row.items() if k >> packing.wshift == weight}
+        forms.append(_HElement(form, packing, None))
+    forms.sort(key=lambda f: f.lead)
+    cone = []
+    for f in forms:
+        work, _ = _hreduce(f.poly, [g for g in forms if g is not f], packing, limits)
+        lc = work[f.lead]
+        cone.append(_raw(n, {packing.xpart(k): Fraction(c, lc) for k, c in work.items()}))
+    return tuple(cone)
 
 
 def _cofactors(steps, packing: _Packing, scale, start=()):
@@ -967,12 +1000,11 @@ def _echelon_diagram(generators, order: LocalOrder):
     ``_ECHELON_COLUMNS``.  An input whose window is not covered by the top
     weight also gives None.
 
-    ``rows`` are the pivot rows whose leads are the vertices, in sorted
-    vertex order, as packed integer dicts of ``packing``.  Each is the
+    ``rows`` are the pivot rows whose leads are the vertices, as packed
+    integer dicts of ``packing``.  Each is the
     truncation above the top weight of an element of the ideal whose lead
     is its own, of weight at most eta, so the row's lowest-weight part is
-    that element's initial form: the rows are a standard basis, truncated,
-    and their lowest-weight parts a Groebner basis of the tangent cone.
+    that element's initial form, as ``_reduced_cone`` needs.
     """
     n = order.n
     if len(generators) < n:
@@ -1030,7 +1062,7 @@ def _echelon_diagram(generators, order: LocalOrder):
         window = range(max(0, eta - span + 1), eta + 1)
         if all(found[w] == len(layers[w]) for w in window):
             diagram = vertices_from_exponents(map(packing.xpart, pivots), n)
-            rows = [pivots[packing.pack((*v, 0))] for v in sorted(diagram.vertices)]
+            rows = [pivots[packing.pack((*v, 0))] for v in diagram.vertices]
             return diagram, packing, rows
     return None
 
@@ -1058,25 +1090,6 @@ def diagram_of_ideal(
     echelon for the zero-dimensional ideals it settles, else the
     completion's graded leads)."""
     return ideal.diagram(order, limits)
-
-
-def cone_contains(
-    basis, forms, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
-) -> bool:
-    """True when every form lies in the ideal generated by ``basis``.
-
-    ``basis`` and ``forms`` are polynomials homogeneous for the order's
-    weights, and ``basis`` is a standard basis of its ideal, as the initial
-    forms of a standard basis are of a tangent cone.  Homogenized, every
-    term sits at grading variable 0, and inside one grade the packed order
-    is the local order; so ``basis`` is a Groebner basis of the graded ring
-    and ``_hreduce`` takes a form to zero exactly when it is a member.
-    """
-    packing, elems, _ = _homogenize([*basis, *forms], order)
-    reducers = elems[: len(basis)]
-    return not any(
-        _hreduce(f.poly, reducers, packing, limits)[0] for f in elems[len(basis) :]
-    )
 
 
 def ideal_membership(

@@ -15,7 +15,7 @@ from germlab import (
     parse_poly,
     perturb,
 )
-from germlab import experiments, germs
+from germlab import experiments, germs, standard_basis
 from germlab.experiments import tail_candidates
 
 
@@ -153,3 +153,25 @@ def test_trials_run_no_dimension_search(monkeypatch, experiment):
     report = experiment(I, phi, spec_for(3, trials=4, seed=5))
     assert report.all_pass and len(report.trials) == 4
     assert len(calls) == 2 * baseline
+
+
+@pytest.mark.parametrize("experiment", [determinacy_experiment, approximation_experiment])
+def test_each_cone_is_reduced_once(monkeypatch, experiment):
+    # every presentation reduces its cone once: the baselines' cones are
+    # not rebuilt per trial
+    reduced = []
+    original = standard_basis._reduced_cone
+
+    def counting(n, packing, rows, limits):
+        reduced.append(rows)  # kept alive, so no two ids coincide
+        return original(n, packing, rows, limits)
+
+    monkeypatch.setattr(standard_basis, "_reduced_cone", counting)
+    I = IdealPresentation(2, [p("x1^2 - x2^3")])
+    phi = MapGerm(2, (p("x2"),))
+    report = experiment(I, phi, spec_for(3, trials=3, seed=5))
+    assert report.all_pass and len(report.trials) == 3
+    # one fibre baseline, and for the approximation one domain baseline too
+    baselines = 1 if experiment is determinacy_experiment else 2
+    assert len(reduced) == baselines * (1 + 3)
+    assert len({id(rows) for rows in reduced}) == len(reduced)

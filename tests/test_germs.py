@@ -1,6 +1,7 @@
 import pytest
 
 from germlab import (
+    FORWARD,
     REVERSE,
     IdealPresentation,
     MapGerm,
@@ -22,6 +23,7 @@ from germlab import (
 )
 from germlab import germs, standard_basis
 from germlab.diagram import axis_vertex_prefix
+from germlab.orders import LocalOrder, PositiveLinearForm
 from germlab.poly import initial_form
 from germlab.seeding import make_rng
 
@@ -238,11 +240,21 @@ def test_tangent_cone_subset_generates_the_same_cone():
             continue
         old = _all_initial_forms(I, order)
         new = tangent_cone_ideal(I, order)
-        assert standard_basis.cone_contains(new, old, order)
-        assert standard_basis.cone_contains(old, new, order)
+        assert _same_ideal_by_mutual_membership(n, old, new, order)
         assert len(new) == len(I.diagram(order).vertices)
         shrunk += len(new) < len(old)
     assert shrunk  # the property was tested on lists that did shrink
+
+
+@pytest.mark.parametrize("tiebreak", [REVERSE, FORWARD])
+def test_tangent_cone_needs_a_degree_order(tiebreak):
+    # the initial forms of a weighted standard basis need not generate the
+    # cone: under weights (1, 2) the basis of (x2 + x1^2, x2) is led by x2
+    # twice, with no element led by x1^2
+    I = ideal("x2 + x1^2", "x2")
+    with pytest.raises(ValueError):
+        tangent_cone_ideal(I, LocalOrder(PositiveLinearForm((1, 2)), tiebreak))
+    assert tangent_cone_ideal(I, degree_order(2, tiebreak)) == [p("x2"), p("x1^2")]
 
 
 def test_tangent_cones_equal_examples():
@@ -276,15 +288,20 @@ def test_cones_of_a_unit_ideal_raise():
         tangent_cones_equal(ideal("x1^2"), unit)
 
 
+def _same_ideal_by_mutual_membership(n, gens_a, gens_b, order):
+    """Completed presentations of both lists, membership both ways."""
+    ideal_a, ideal_b = IdealPresentation(n, gens_a), IdealPresentation(n, gens_b)
+    return all(ideal_membership(g, ideal_a, order) for g in gens_b) and all(
+        ideal_membership(g, ideal_b, order) for g in gens_a
+    )
+
+
 def _cones_equal_by_mutual_membership(a, b):
-    """Completed cone presentations, membership both ways."""
+    """The two cones' generators, membership both ways."""
     order = degree_order(a.n, REVERSE)
     gens_a = tangent_cone_ideal(a, order)
     gens_b = tangent_cone_ideal(b, order)
-    cone_a, cone_b = IdealPresentation(a.n, gens_a), IdealPresentation(b.n, gens_b)
-    return all(ideal_membership(g, cone_a, order) for g in gens_b) and all(
-        ideal_membership(g, cone_b, order) for g in gens_a
-    )
+    return _same_ideal_by_mutual_membership(a.n, gens_a, gens_b, order)
 
 
 def _verdict(equal, a, b):
@@ -373,21 +390,18 @@ def test_cones_of_echelon_certified_ideals_complete_nothing(monkeypatch):
     verdicts = [tangent_cones_equal(x, y) for x, y in ((a, b), (b, a), (a, c), (c, a))]
     assert verdicts == [False, False, True, True]
     assert completed == []
-    for I in (a, b, c):
-        assert I._echelon_cone(order) is not None
-    # a certified completion replaces a's entry, which keeps no rows; its
-    # cone then comes from the completed basis, with the same verdicts
+    # a certified completion replaces a's entry; the verdicts stay
     a.completion(order, certificates=True)
-    assert completed == [True] and a._echelon_cone(order) is None
+    assert completed == [True]
     assert [tangent_cones_equal(x, y) for x, y in ((a, b), (b, a), (a, c), (c, a))] == verdicts
     assert completed == [True]
     # past the echelon's column cap the diagram is completed: one cone from
-    # rows, the other from the basis
+    # rows, the other from the completion's graded elements
     wide_c = ideal("x1^2 + x1^70", "x2^2 - x2^4")
     wide_b = ideal("x1^2 + x1*x2 + x1^70", "x2^2 + x2^4")
     assert tangent_cones_equal(c, wide_c) and tangent_cones_equal(wide_c, c)
     assert not tangent_cones_equal(c, wide_b) and not tangent_cones_equal(wide_b, c)
-    assert wide_c._echelon_cone(order) is None and completed == [True, False, False]
+    assert completed == [True, False, False]
 
 
 def test_unequal_diagrams_build_no_basis(monkeypatch):
@@ -395,7 +409,7 @@ def test_unequal_diagrams_build_no_basis(monkeypatch):
         raise AssertionError("a basis or a cone was built")
 
     monkeypatch.setattr(standard_basis, "_completion_result", refused)
-    monkeypatch.setattr(germs, "cone_contains", refused)
+    monkeypatch.setattr(standard_basis, "_reduced_cone", refused)
     pairs = [
         (ideal("x1"), ideal("x2")),
         (ideal("x1^2 - x2^3"), ideal("x1^3 + x2^2")),
@@ -406,8 +420,9 @@ def test_unequal_diagrams_build_no_basis(monkeypatch):
     for a, b in pairs:
         assert not tangent_cones_equal(a, b)
         assert not tangent_cones_equal(b, a)
+    monkeypatch.undo()
     order = degree_order(2, REVERSE)
-    assert all(I._echelon_cone(order) is not None for I in pairs[2])
+    assert all(standard_basis._echelon_diagram(I.generators, order) for I in pairs[2])
 
 
 def test_cones_equal_divides_on_the_packed_kernel(monkeypatch):

@@ -35,7 +35,6 @@ from germlab.standard_basis import (
     _hreduce,
     _Packing,
     becker_check,
-    cone_contains,
     is_proper,
 )
 from germlab.oracle import oracle_staircase
@@ -545,33 +544,30 @@ def test_hreduce_leaves_its_input_and_reducers_unchanged():
     assert _hreduce(work, reducers, packing, DEFAULT_LIMITS) == (out, steps)
 
 
-def test_cone_contains_mutates_no_element(monkeypatch):
-    order = degree_order(2, REVERSE)
-    cases = [
-        (tangent_cone_ideal(IdealPresentation(2, [p(a)]), order),
-         tangent_cone_ideal(IdealPresentation(2, [p(b)]), order),
-         expected)
-        for a, b, expected in (
-            ("x1^2 - x2^3", "x1^2 + x2^5", True),
-            ("x1^2", "x1^2 + x1*x2", False),
-        )
-    ]
-    seen = []
-    real = standard_basis._homogenize
+def test_building_a_cone_mutates_no_element(monkeypatch):
+    kept = []
+    real = standard_basis._complete
 
-    def recording(polys, order):
-        packing, elems, contents = real(polys, order)
-        seen.append([(b, dict(b.poly)) for b in elems])
-        return packing, elems, contents
+    def recording(*args):
+        done = real(*args)
+        kept.append([(b, dict(b.poly)) for b in done[1]])
+        return done
 
-    monkeypatch.setattr(standard_basis, "_homogenize", recording)
-    for gens_a, gens_b, expected in cases:
-        texts = [str(g) for g in gens_a + gens_b]
-        assert cone_contains(gens_a, gens_b, order) == expected
-        assert cone_contains(gens_a, gens_b, order) == expected
-        assert [str(g) for g in gens_a + gens_b] == texts
-    assert len(seen) == 4
-    assert all(b.poly == poly for elems in seen for b, poly in elems)
+    monkeypatch.setattr(standard_basis, "_complete", recording)
+    echelon = IdealPresentation(2, [p("x1^2 + x1*x2 + x1^4"), p("x2^2 + x2^4")])
+    # no pure power of x1, so the completion makes the entry
+    completed = IdealPresentation(2, [p("x2^2"), p("x2^3 + x1^2*x2")])
+    for ideal, cone in ((echelon, [p("x1^2 + x1*x2"), p("x2^2")]),
+                        (completed, [p("x2^2"), p("x1^2*x2")])):
+        rows = ideal._entry(REV, DEFAULT_LIMITS, False, echelon=True)[4]
+        before = [dict(row) for row in rows]
+        assert tangent_cone_ideal(ideal, REV) == cone
+        assert ideal._entry(REV, DEFAULT_LIMITS, False)[4] is rows
+        assert [dict(row) for row in rows] == before
+    assert len(kept) == 1 and all(b.poly == poly for b, poly in kept[0])
+    monkeypatch.undo()
+    fresh = IdealPresentation(2, completed.generators)
+    assert completed.completion(REV, certificates=False) == fresh.completion(REV, certificates=False)
 
 
 def test_reduction_through_unit_and_negated_multipliers(monkeypatch):
@@ -768,26 +764,34 @@ def test_echelon_diagram_matches_the_completion_on_the_corpus():
     assert certified > 0 and declined > 0
 
 
-def test_echelon_vertex_rows_give_the_tangent_cone_on_the_corpus():
-    certified = declined = 0
-    for ideal in corpus():
+def test_tangent_cone_is_the_reduced_basis_on_the_corpus():
+    certified = completed = 0
+    # x2^3 lies in the diagram of the last ideal: the reduced basis drops it
+    for ideal in corpus() + [IdealPresentation(2, [p("x2^2"), p("x2^3 + x1^2*x2")])]:
+        n, gens = ideal.n, ideal.generators
         for tiebreak in (REVERSE, FORWARD):
-            order = degree_order(ideal.n, tiebreak)
-            fresh = IdealPresentation(ideal.n, ideal.generators)
-            d = fresh.diagram(order)
-            forms = fresh._echelon_cone(order)
-            if forms is None:
-                declined += 1
-                continue
-            certified += 1
-            # one monic form per vertex, led by it
-            assert [initial_exponent(f, order) for f in forms] == sorted(d.vertices)
-            assert all(f.coeff(initial_exponent(f, order)) == 1 for f in forms)
-            assert all(f.total_degree() == f.min_total_degree() for f in forms)
-            cone = tangent_cone_ideal(IdealPresentation(ideal.n, ideal.generators), order)
-            assert cone_contains(forms, cone, order), (ideal, order)
-            assert cone_contains(cone, forms, order), (ideal, order)
-    assert certified > 0 and declined > 0
+            order = degree_order(n, tiebreak)
+            fresh = tangent_cone_ideal(IdealPresentation(n, gens), order)
+            after_diagram = IdealPresentation(n, gens)
+            d = after_diagram.diagram(order)
+            after_completion = IdealPresentation(n, gens)
+            after_completion.completion(order, certificates=True)
+            # the same list whichever engine made the entry and whatever came first
+            assert fresh == tangent_cone_ideal(after_diagram, order), (ideal, order)
+            assert fresh == tangent_cone_ideal(after_completion, order), (ideal, order)
+            if standard_basis._echelon_diagram(gens, order) is None:
+                completed += 1
+            else:
+                certified += 1
+            # one monic homogeneous generator per vertex, led by it, ascending
+            leads = [initial_exponent(f, order) for f in fresh]
+            assert leads == sorted(d.vertices, key=order.key), (ideal, order)
+            for f, lead in zip(fresh, leads):
+                assert f.coeff(lead) == 1
+                assert f.total_degree() == f.min_total_degree()
+                # reduced: no other term lies in the diagram
+                assert not any(d.member(e) for e in f.exponents() if e != lead), (ideal, order)
+    assert certified > 0 and completed > 0
 
 
 def test_echelon_window_spans_the_largest_variable_weight():
@@ -861,12 +865,40 @@ def test_basis_after_an_echelon_diagram(monkeypatch, order):
     assert ideal.diagram(order) == d
 
 
-def test_tangent_cone_runs_no_echelon(monkeypatch):
-    def refused(*args):
-        raise AssertionError("an echelon ran for a basis reader")
+def test_concurrent_cone_reads_reduce_once(monkeypatch):
+    reduced = []
+    real = standard_basis._reduced_cone
 
-    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
-    monkeypatch.setattr(standard_basis, "_echelon_diagram", refused)
-    cone = tangent_cone_ideal(IdealPresentation(2, gens))
-    monkeypatch.undo()
-    assert cone == tangent_cone_ideal(IdealPresentation(2, gens), REV)
+    def counting(*args):
+        reduced.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(standard_basis, "_reduced_cone", counting)
+    gens = [p("x1^2 + x2^2 + x1*x3 + x3^4", 3), p("x2*x3^2 - x1^4", 3)]
+    ideal = IdealPresentation(3, gens)
+    order = degree_order(3, REVERSE)
+    count = 8
+    start = threading.Barrier(count)
+    cones, errors = [None] * count, []
+
+    def reader(i):
+        try:
+            start.wait()
+            cones[i] = tangent_cone_ideal(ideal, order)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert all(cone == cones[0] for cone in cones) and len(reduced) == 1
+    assert cones[0] == [p("x1^2 + x2^2 + x1*x3", 3), p("x2*x3^2", 3)]
