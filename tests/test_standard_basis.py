@@ -17,6 +17,7 @@ from germlab import (
     dimension_at_origin,
     ideal_membership,
     initial_exponent,
+    initial_form,
     parse_poly,
     s_series,
     standard_basis_complete,
@@ -794,6 +795,34 @@ def test_tangent_cone_is_the_reduced_basis_on_the_corpus():
     assert certified > 0 and completed > 0
 
 
+def test_echelon_vertex_rows_give_the_tangent_cone_on_the_corpus():
+    def refused(*args):
+        raise AssertionError("a completion ran for an echelon-certified cone")
+
+    certified = declined = 0
+    for ideal in corpus():
+        n, gens = ideal.n, ideal.generators
+        for tiebreak in (REVERSE, FORWARD):
+            order = degree_order(n, tiebreak)
+            if standard_basis._echelon_diagram(gens, order) is None:
+                declined += 1
+                continue
+            certified += 1
+            fresh = IdealPresentation(n, gens)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(standard_basis, "_complete", refused)
+                cone = tangent_cone_ideal(fresh, order)
+            # one vertex row per vertex, and the cone is built from them alone
+            assert len(fresh._entry(order, DEFAULT_LIMITS, False)[4]) == len(cone)
+            # reference: the initial forms of a standard basis generate the cone
+            basis = IdealPresentation(n, gens).completion(order, certificates=False).basis
+            reference = IdealPresentation(n, [initial_form(g) for g in basis])
+            assert all(ideal_membership(f, reference, order) for f in cone), (ideal, order)
+            spanned = IdealPresentation(n, cone)
+            assert all(ideal_membership(g, spanned, order) for g in reference.generators), (ideal, order)
+    assert certified > 0 and declined > 0
+
+
 def test_echelon_window_spans_the_largest_variable_weight():
     order = LocalOrder(PositiveLinearForm((2, 1)), REVERSE)
     ideal = IdealPresentation(2, [p("x2"), p("x1^3 + x1*x2^3")])
@@ -863,6 +892,22 @@ def test_basis_after_an_echelon_diagram(monkeypatch, order):
     assert rich.basis == basis
     assert _reexpands(rich, gens)
     assert ideal.diagram(order) == d
+
+
+def test_tangent_cone_runs_no_echelon(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an echelon ran though a completion was cached")
+
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    assert standard_basis._echelon_diagram(gens, REV) is not None
+    ideal = IdealPresentation(2, gens)
+    ideal.completion(REV, certificates=True)
+    monkeypatch.setattr(standard_basis, "_echelon_diagram", refused)
+    cone = tangent_cone_ideal(ideal)
+    monkeypatch.undo()
+    # the completion's vertex elements give the basis the echelon's rows give
+    assert cone == tangent_cone_ideal(IdealPresentation(2, gens), REV)
+    assert cone == [p("x1^2"), p("x1*x2"), p("x2^4")]
 
 
 def test_concurrent_cone_reads_reduce_once(monkeypatch):
