@@ -43,7 +43,7 @@ from .germs import (
     tangent_cones_equal,
 )
 from .oracle import oracle_hs, oracle_staircase
-from .orders import FORWARD, REVERSE, LocalOrder, PositiveLinearForm, degree_order
+from .orders import FORWARD, REVERSE, LocalOrder, PositiveLinearForm, degree_order, weighted_box
 from .poly import format_poly
 from .standard_basis import (
     DEFAULT_LIMITS,
@@ -254,16 +254,16 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
         return determinacy_order(ideal, job.map_germ(), seed, limits).as_dict()
 
     if cmd == "tangent-cone":
-        return {"generators": [format_poly(g) for g in tangent_cone_ideal(ideal, limits=limits)]}
+        cone = tangent_cone_ideal(ideal, degree_order(job.n, job.order.tiebreak), limits)
+        return {"generators": [format_poly(g) for g in cone]}
 
     if cmd == "cones-equal":
         other = IdealPresentation(job.n, job.ideal2)
         return {"equal": tangent_cones_equal(ideal, other, limits)}
 
     if cmd == "oracle-check":
-        stair_engine = {
-            tuple(e) for e in _staircase_points(diagram_of_ideal(ideal, job.order, limits), job.order, eta_max)
-        }
+        d = diagram_of_ideal(ideal, job.order, limits)
+        stair_engine = {e for e in weighted_box(job.order.form.weights, eta_max) if d.member(e)}
         stair_oracle = oracle_staircase(ideal, job.order, eta_max)
         result = {
             "staircase_match": stair_engine == stair_oracle,
@@ -291,12 +291,6 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
     if cmd == "approx-exp":
         return approximation_experiment(ideal, job.map_germ(), spec, eta_max, limits).as_dict()
     raise AssertionError(f"unhandled command {cmd!r}")
-
-
-def _staircase_points(diagram, order, eta):
-    from .oracle import _weighted_box  # same enumeration, kept in one place
-
-    return [e for e in _weighted_box(order.form, eta) if diagram.member(e)]
 
 
 def _parse_failure(envelope: dict, message: str, line=None, column=None):
@@ -354,18 +348,6 @@ def run_job(path, limits: ResourceLimits | None = None):
         envelope.update(
             status="error",
             error={"kind": "resource", "bound": exc.bound, "limit": exc.limit},
-        )
-        return envelope, 2
-    except RecursionError:
-        # the oracle's box enumeration recurses once per variable; any other
-        # overflow is a genuine fault
-        envelope.update(
-            status="error",
-            error={
-                "kind": "resource",
-                "bound": "recursion_depth",
-                "limit": sys.getrecursionlimit(),
-            },
         )
         return envelope, 2
     except ParseError as exc:

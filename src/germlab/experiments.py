@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .diagram import diagrams_equal_up_to, hilbert_samuel, staircase_dimension
 from .germs import MapGerm, determinacy_order, tangent_cones_equal
-from .orders import REVERSE, degree_order
+from .orders import REVERSE, degree_order, weighted_box
 from .poly import Poly, format_poly
 from .seeding import derive_seed, make_rng
 from .standard_basis import (
@@ -57,12 +57,9 @@ class PerturbationSpec:
 
 def tail_candidates(n: int, spec: PerturbationSpec):
     """Admissible tail exponents, in a fixed deterministic order: every
-    exponent of total degree in [mu + 1, tail_degree_max], sorted.  Built
-    one variable at a time, so no call recurses per variable."""
-    out = [()]
-    for _ in range(n):
-        out = [e + (b,) for e in out for b in range(spec.tail_degree_max - sum(e) + 1)]
-    return sorted(e for e in out if sum(e) >= spec.mu + 1)
+    exponent of total degree in [mu + 1, tail_degree_max], ascending as
+    tuples.  The degree box of ``weighted_box``, filtered."""
+    return [e for e in weighted_box((1,) * n, spec.tail_degree_max) if sum(e) > spec.mu]
 
 
 def perturb(polys, spec: PerturbationSpec, trial_index: int, stream: str = ""):

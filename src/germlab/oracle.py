@@ -7,7 +7,9 @@ found by exact integer elimination (denominators cleared per row, rows kept
 primitive by gcd).  Pivot columns of the echelon form are precisely the
 initial exponents realized inside the truncation, which is what makes this
 an oracle for diagrams as well as for Hilbert-Samuel tables.  It exists to
-be trusted, not to be fast.
+be trusted, not to be fast.  Its columns and row shifts come from
+``orders.weighted_box``, a primitive at the level of the order keys it
+sorts them by, and checked against a brute-force enumeration of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .diagram import HilbertSamuelTable
-from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, exp_add
+from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, exp_add, weighted_box
 from .standard_basis import IdealPresentation
 
 
@@ -31,27 +33,8 @@ class TruncationBasis:
 
     @classmethod
     def build(cls, order: LocalOrder, eta: int) -> "TruncationBasis":
-        monos = sorted(_weighted_box(order.form, eta), key=order.key)
+        monos = sorted(weighted_box(order.form.weights, eta), key=order.key)
         return cls(order, eta, tuple(monos), {m: i for i, m in enumerate(monos)})
-
-
-def _weighted_box(form: PositiveLinearForm, eta: int):
-    """All exponents with weight <= eta."""
-    n = form.n
-    out = []
-
-    def rec(i, budget, prefix):
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        w = form.weights[i]
-        for b in range(budget // w + 1):
-            prefix.append(b)
-            rec(i + 1, budget - w * b, prefix)
-            prefix.pop()
-
-    rec(0, eta, [])
-    return out
 
 
 def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
@@ -68,7 +51,7 @@ def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
         scale = lcm(*(c.denominator for _, c in terms)) if terms else 1
         int_terms = [(e, int(c * scale)) for e, c in terms]
         min_w = min(form.weight(e) for e, _ in int_terms)
-        for alpha in sorted(_weighted_box(form, eta - min_w), key=tb.order.key):
+        for alpha in sorted(weighted_box(form.weights, eta - min_w), key=tb.order.key):
             row = {}
             for e, c in int_terms:
                 shifted = exp_add(e, alpha)

@@ -97,6 +97,33 @@ def compare_exponents(a, b, order: LocalOrder) -> int:
     return order.compare(a, b)
 
 
+def weighted_box(weights, eta: int) -> list:
+    """Every exponent of weight at most eta, ascending as tuples; [] when
+    eta < 0.
+
+    An odometer: the next exponent takes the last coordinate that has room
+    once the coordinates after it are cleared, and raises it by one.  That
+    is one pass over the coordinates per exponent, and nothing recurses.
+    """
+    if eta < 0:
+        return []
+    e = [0] * len(weights)
+    out = [tuple(e)]
+    room = eta  # eta minus the weight of e
+    i = len(e) - 1
+    while i >= 0:
+        if room >= weights[i]:
+            e[i] += 1
+            room -= weights[i]
+            out.append(tuple(e))
+            i = len(e) - 1
+        else:
+            room += weights[i] * e[i]
+            e[i] = 0
+            i -= 1
+    return out
+
+
 def exp_add(a, b):
     return tuple(map(add, a, b))
 

@@ -46,7 +46,7 @@ from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub
+from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
 from .poly import Poly, _products, _raw, initial_exponent, initial_term
 
 
@@ -998,7 +998,9 @@ def _echelon_diagram(generators, order: LocalOrder):
     all) among their terms, and only when the number of monomials of
     weight at most the top weight, bounded by C(top + n, n), is at most
     ``_ECHELON_COLUMNS``.  An input whose window is not covered by the top
-    weight also gives None.
+    weight also gives None.  The columns are ``weighted_box`` up to the
+    top weight, bucketed by weight in box order, so rows of one batch
+    enter with x_1 outermost.
 
     ``rows`` are the pivot rows whose leads are the vertices, as packed
     integer dicts of ``packing``.  Each is the
@@ -1029,13 +1031,12 @@ def _echelon_diagram(generators, order: LocalOrder):
         (b.lead >> wshift, [(k - (k & mask), k >> wshift, c) for k, c in b.poly.items()])
         for b in elems
     ]
-    # the packed monomials of each weight up to the top one
-    monos = [(0, 0)]
-    for w, mult in zip(form.weights, packing.mults):
-        monos = [(v + b * w, k + b * mult) for v, k in monos for b in range((top - v) // w + 1)]
+    # the packed monomials of each weight up to the top one; at t = 0 the
+    # top field of a packed key is its weight
     layers = [[] for _ in range(top + 1)]
-    for v, k in monos:
-        layers[v].append(k)
+    for e in weighted_box(form.weights, top):
+        k = packing.pack(e)
+        layers[k >> wshift].append(k)
 
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight

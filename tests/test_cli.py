@@ -199,6 +199,41 @@ def test_oracle_check_job(tmp_path):
     assert report["result"]["staircase_match"] is True
 
 
+def test_oracle_check_on_1100_variables(tmp_path):
+    # the box is an odometer, so no variable count overflows the recursion limit
+    n = 1100
+    path = write_job(
+        tmp_path / "wide.json",
+        variables=[f"x{i}" for i in range(1, n + 1)],
+        ideal=["x1"],
+        command="oracle-check",
+        parameters={"eta_max": 1},
+    )
+    report, code = run_job(path)
+    assert code == 0, report
+    assert report["result"]["staircase_match"] is True
+    assert report["result"]["hs_match"] is True
+    assert report["result"]["hs"] == [1, n]
+
+
+@pytest.mark.parametrize(
+    "ordering, ideal, generators",
+    [
+        ({"weights": [1, 1], "tiebreak": "forward"}, ["x1^2 + x1*x2", "x2^2"], ["x2^2", "x1*x2 + x1^2", "x1^3"]),
+        ({"weights": [1, 1], "tiebreak": "reverse"}, ["x1^2 + x1*x2", "x2^2"], ["x1*x2 + x1^2", "x2^2"]),
+        # other weights: the total-degree cone, as for hs
+        ({"weights": [1, 2], "tiebreak": "reverse"}, ["x2 + x1^2", "x2"], ["x2", "x1^2"]),
+    ],
+)
+def test_tangent_cone_job_uses_the_job_tiebreak(tmp_path, ordering, ideal, generators):
+    path = write_job(
+        tmp_path / "cone.json", **base_job(ordering=ordering, ideal=ideal, command="tangent-cone")
+    )
+    report, code = run_job(path)
+    assert code == 0, report
+    assert report["result"]["generators"] == generators
+
+
 def test_experiment_job(tmp_path):
     path = write_job(
         tmp_path / "exp.json",
@@ -529,8 +564,8 @@ HS_JOB = base_job(command="hs", parameters={"eta_max": 2})
 
 def overflow_hs(monkeypatch):
     """Make the hs command overflow the recursion limit, as a fault would;
-    the staircase counts no longer recurse, only the oracle's box
-    enumeration does, once per variable."""
+    nothing in germlab recurses per variable, so an overflow is a fault in
+    germlab itself."""
 
     def deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
@@ -543,8 +578,11 @@ def test_recursion_overflow_is_a_resource_error(tmp_path, monkeypatch):
     report, code = run_job(write_job(tmp_path / "deep.json", **HS_JOB))
     assert code == 2
     assert report["status"] == "error"
-    assert report["error"]["kind"] == "resource"
-    assert report["error"]["bound"] == "recursion_depth"
+    assert report["error"] == {
+        "kind": "internal",
+        "exception": "RecursionError",
+        "message": "maximum recursion depth exceeded",
+    }
 
 
 def test_suite_survives_recursion_overflow(tmp_path, monkeypatch):
@@ -558,7 +596,8 @@ def test_suite_survives_recursion_overflow(tmp_path, monkeypatch):
     by_name = {entry["job"]: entry["exit_code"] for entry in aggregate["jobs"]}
     assert by_name == {"a-deep.json": 2, "b-good.json": 0}
     deep = json.loads((tmp_path / "out" / "a-deep.report.json").read_text(encoding="utf-8"))
-    assert deep["error"]["bound"] == "recursion_depth"
+    assert deep["error"]["kind"] == "internal"
+    assert deep["error"]["exception"] == "RecursionError"
     good = json.loads((tmp_path / "out" / "b-good.report.json").read_text(encoding="utf-8"))
     assert good["result"]["vertices"] == [[1, 1]]
 

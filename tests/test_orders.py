@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from germlab import (
@@ -9,7 +11,7 @@ from germlab import (
     compare_exponents,
     degree_order,
 )
-from germlab.orders import EQUAL, GREATER, LESS, exp_divides
+from germlab.orders import EQUAL, GREATER, LESS, exp_divides, weighted_box
 
 
 def test_form_validation():
@@ -64,3 +66,15 @@ def test_zero_is_minimum():
 def test_divisibility():
     assert exp_divides((1, 0, 2), (1, 1, 2))
     assert not exp_divides((2, 0), (1, 1))
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1), (1, 2), (2, 1), (3, 1, 2), (1, 1, 1, 1)])
+def test_box_matches_a_brute_force_enumeration(weights):
+    form = PositiveLinearForm(weights)
+    for eta in range(-1, 9):
+        brute = sorted(
+            e for e in product(range(max(eta, 0) + 1), repeat=len(weights)) if form.weight(e) <= eta
+        )
+        assert weighted_box(weights, eta) == brute, (weights, eta)
+    assert weighted_box(weights, -1) == []
+    assert weighted_box(weights, 0) == [(0,) * len(weights)]
