@@ -16,6 +16,7 @@ import sys
 import traceback
 from dataclasses import replace
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -91,16 +92,24 @@ def _is_int(value) -> bool:
 
 
 def limits_from_env() -> ResourceLimits:
-    """Resource bounds, overridable through GERMLAB_MAX_* variables."""
+    """Resource bounds, overridable through GERMLAB_MAX_* variables.
+
+    Each bound must be a positive integer: the term and reduction bounds
+    are checked only after a reduction step, so a value below 1 would not
+    stop a job that never takes one.
+    """
 
     def get(name, default):
         raw = os.environ.get(name)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ParseError(f"{name} must be an integer, got {raw!r}")
+        if value < 1:
+            raise ParseError(f"{name} must be at least 1, got {value}")
+        return value
 
     return ResourceLimits(
         max_terms=get("GERMLAB_MAX_TERMS", DEFAULT_LIMITS.max_terms),
@@ -375,7 +384,44 @@ def run_job(path, limits: ResourceLimits | None = None):
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes it.
+
+    The standard library encodes with ``indent`` in pure Python; this writes
+    the same bytes directly.  Values may be dicts with str keys, lists, str,
+    int, bool and None; anything else (a float, a tuple) raises TypeError.
+    """
+    return _encode(report, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """One JSON value; newline is a line break plus the value's indentation."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_encode(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run_suite(directory, out_dir=None, limits: ResourceLimits | None = None):

@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrixError,
     ZeroPolynomialError,
 )
-from .orders import FORWARD, LocalOrder, degree_order, exp_add
+from .orders import LocalOrder, exp_add
 
 
 def _as_fraction(c) -> Fraction:
@@ -233,25 +233,38 @@ def _products(pairs):
         den = lcm(den, dp * dq)
         operands.append((p._terms, dq, q._terms))
     num: dict = {}
-    get = num.get
     for left, dq, right in operands:
-        right = [(e, c.numerator * (dq // c.denominator)) for e, c in right.items()]
         # den / dq is a multiple of every denominator of the left operand
-        f = den // dq
-        for e1, c1 in left.items():
-            c1 = c1.numerator * (f // c1.denominator)
-            for e2, c2 in right:
-                exp = tuple(map(add, e1, e2))
-                acc = get(exp)
-                if acc is None:
-                    num[exp] = c1 * c2
-                else:
-                    acc += c1 * c2
-                    if acc:
-                        num[exp] = acc
-                    else:
-                        del num[exp]
+        _mul_into(num, _numerators(left, den // dq), _numerators(right, dq))
     return den, num
+
+
+def _numerators(terms: dict, den: int) -> list:
+    """(exponent, c * den) pairs; den is a multiple of every denominator."""
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _mul_into(num: dict, left, right) -> dict:
+    """Add left * right to num, on (exponent, int) pairs.
+
+    A sum that reaches zero is deleted at once, so a later contribution to
+    that exponent enters at the end: the insertion order is the Fraction
+    double loop's.
+    """
+    get = num.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            exp = tuple(map(add, e1, e2))
+            acc = get(exp)
+            if acc is None:
+                num[exp] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    num[exp] = acc
+                else:
+                    del num[exp]
+    return num
 
 
 def _raw(n: int, terms: dict) -> Poly:
@@ -326,26 +339,42 @@ def _matrix_rows(M, n: int):
 
 
 def exact_det(M) -> Fraction:
-    """Determinant by exact fraction Gaussian elimination."""
+    """Exact determinant: the matrix is brought over the lcm of its
+    denominators and eliminated fraction-free on integers."""
     rows = [[_as_fraction(x) for x in row] for row in M]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
+    den, a = _integer_matrix(rows)
+    return Fraction(_int_det(a), den**n)
+
+
+def _integer_matrix(rows):
+    """(den, integer rows): the Fraction rows times the lcm of their denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _int_det(a) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination; a is consumed."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, row = a[k][k], a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            # exact: every entry of the eliminated minor is divisible by prev
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pivot - aik * row[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def invert_matrix(M):
@@ -371,35 +400,54 @@ def apply_linear_change(f: Poly, M) -> Poly:
     """Substitute x_i -> sum_j M[i][j] * x_j and expand.
 
     M must be invertible (checked by exact determinant), so the total degree
-    and the lowest homogeneous degree are preserved.
+    and the lowest homogeneous degree are preserved.  The expansion runs on
+    integer numerators: M is brought over the lcm D of its entries'
+    denominators and f over the lcm of its own, each term of f of degree d
+    is scaled by D^(deg f - d) so that all terms share one denominator, and
+    one Fraction is built per output term.  Products and sums follow the
+    term-by-term Fraction expansion, so the terms come out in its order.
     """
     n = f.n
-    rows = _matrix_rows(M, n)
-    if not exact_det(rows):
-        raise SingularMatrixError("coordinate change matrix is singular")
+    den, a = _integer_matrix(_matrix_rows(M, n))
     images = [
-        Poly(n, {tuple(1 if j == k else 0 for k in range(n)): rows[i][j]
-                 for j in range(n) if rows[i][j]})
-        for i in range(n)
+        [(tuple(1 if j == k else 0 for k in range(n)), c) for j, c in enumerate(row) if c]
+        for row in a
     ]
-    powers = [[Poly.constant(n, 1)] for _ in range(n)]
-    result = Poly.zero(n)
-    for exp, c in f.items():
-        term = Poly.constant(n, c)
+    if not _int_det(a):
+        raise SingularMatrixError("coordinate change matrix is singular")
+    terms = f._terms
+    top = max(map(sum, terms), default=0)
+    df = lcm(*map(_denominator, terms.values()))
+    zero = (0,) * n
+    powers = [[[(zero, 1)]] for _ in range(n)]
+    result: dict = {}
+    get = result.get
+    for exp, c in terms.items():
+        term = [(zero, c.numerator * (df // c.denominator) * den ** (top - sum(exp)))]
         for i, e in enumerate(exp):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
-            term = term * cache[e]
-        result = result + term
-    return result
+            if e:
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(list(_mul_into({}, cache[-1], images[i]).items()))
+                term = _mul_into({}, term, cache[e]).items()
+        # result + term, in the order Poly.__add__ gives
+        for e, v in term:
+            acc = get(e)
+            if acc is None:
+                result[e] = v
+            else:
+                acc += v
+                if acc:
+                    result[e] = acc
+                else:
+                    del result[e]
+    common = df * den**top
+    if common == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
+        return _raw(n, {e: Fraction(v) for e, v in result.items()})
+    return _raw(n, {e: Fraction(v, common) for e, v in result.items()})
 
 
 # -- canonical text form ------------------------------------------------------
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _format_monomial(exp) -> str:
@@ -416,20 +464,26 @@ def format_poly(f: Poly) -> str:
     """Deterministic text form; terms sorted by the forward degree order."""
     if f.is_zero:
         return "0"
-    order = degree_order(f.n, FORWARD)
     pieces = []
-    for exp in sorted(f.exponents(), key=order.key):
-        c = f.coeff(exp)
+    for exp, c in sorted(f.items(), key=_forward_degree):
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         mono = _format_monomial(exp)
-        mag = abs(c)
         if not mono:
-            body = _format_coeff(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+def _forward_degree(item):
+    """Sort key of an (exponent, coefficient) pair under the forward degree
+    order: total degree, then the exponent itself."""
+    exp = item[0]
+    return sum(exp), exp

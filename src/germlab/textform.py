@@ -8,10 +8,24 @@ printer lives in :mod:`germlab.poly`; parse/print round-trips are exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly
+from .poly import Poly, _raw
+
+# One token: an optional operator, then a factor, whitespace around both.
+# Digits are ASCII only ('²' and '٣' pass str.isdigit); \s matches exactly
+# the characters of str.isspace.  Groups: 1 operator ('' if none), 2/3 a
+# coefficient p or p/q, 4/5 a variable index and its power, 6 any other
+# character.  No group beyond the operator matches at the end of the text.
+_TOKEN = re.compile(
+    r"\s*([-+*]?)\s*"
+    r"(?:([0-9]+)(?:\s*/\s*([0-9]+))?"
+    r"|x([0-9]+)(?:\s*\^\s*([0-9]+))?"
+    r"|(.))?",
+    re.S,
+)
 
 
 def _position(text: str, pos: int):
@@ -21,119 +35,94 @@ def _position(text: str, pos: int):
     return line, column
 
 
-def _is_digit(ch: str) -> bool:
-    """ASCII digits only: str.isdigit also accepts '²' and '٣'."""
-    return "0" <= ch <= "9"
+def _error(text: str, message: str, pos: int) -> ParseError:
+    return ParseError(message, *_position(text, pos))
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _after_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
 
-    def error(self, message: str, at: int | None = None):
-        line, column = _position(self.text, self.pos if at is None else at)
-        raise ParseError(message, line, column)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a digit")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # beyond the interpreter's int-string limit
-            self.error(f"integer of {self.pos - start} digits is too long", start)
-
-    def take_variable(self, n: int) -> int:
-        """Consume x<k> and return the 0-based variable index."""
-        self.skip_ws()
-        at = self.pos
-        self.pos += 1  # the 'x'
-        if self.pos >= len(self.text) or not _is_digit(self.text[self.pos]):
-            self.error("expected a variable index after 'x'", at)
-        k = self.take_integer()
-        if not 1 <= k <= n:
-            self.error(f"variable x{k} outside x1..x{n}", at)
-        return k - 1
+def _integer(text: str, m, group: int) -> int:
+    digits = m.group(group)
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int-string limit
+        raise _error(text, f"integer of {len(digits)} digits is too long", m.start(group))
 
 
 def parse_poly(text: str, n: int) -> Poly:
     """Parse ``text`` as a polynomial in x1..xn."""
-    sc = _Scanner(text)
-    terms = []
-    sign = 1
-    ch = sc.peek()
-    if ch == "":
-        sc.error("empty polynomial")
-    if ch in "+-":
-        sign = -1 if ch == "-" else 1
-        sc.pos += 1
+    match = _TOKEN.match
+    m = match(text)
+    op, num, den, index, power, other = m.groups()
+    if op == "*":
+        raise _error(text, "expected a coefficient or a variable", m.start(1))
+    if not op and num is None and index is None and other is None:
+        raise _error(text, "empty polynomial", m.end())
+    terms = {}
     while True:
-        exp, coeff = _parse_term(sc, n)
-        terms.append((exp, sign * coeff))
-        ch = sc.peek()
-        if ch == "":
+        # a term: op is its sign ('' before an unsigned first term) and m
+        # holds its first factor
+        negative = op == "-"
+        exp = [0] * n
+        p = q = 1
+        if num is not None:
+            p = _integer(text, m, 2)
+            if den is not None:
+                q = _integer(text, m, 3)
+                if not q:
+                    raise _error(text, "zero denominator", text.index("/", m.end(2)) + 1)
+            fraction = den is not None
+            m = match(text, m.end())
+            op, num, den, index, power, other = m.groups()
+            monomial = op == "*" or not op and (index is not None or other == "x")
+            if not op and other == "/" and not fraction:
+                raise _error(text, "expected a digit", _after_space(text, m.start(6) + 1))
+        elif index is not None or other == "x":
+            monomial = True
+        elif other is not None:
+            raise _error(text, "expected a coefficient or a variable", m.start(6))
+        else:
+            raise _error(text, "unexpected end of input", m.end())
+        if monomial:
+            while True:
+                if index is None:
+                    if other == "x":
+                        raise _error(text, "expected a variable index after 'x'", m.start(6))
+                    raise _error(text, "expected a variable", _after_space(text, m.end(1)))
+                k = _integer(text, m, 4)
+                if not 1 <= k <= n:
+                    raise _error(text, f"variable x{k} outside x1..x{n}", m.start(4) - 1)
+                bare = power is None
+                exp[k - 1] += 1 if bare else _integer(text, m, 5)
+                m = match(text, m.end())
+                op, num, den, index, power, other = m.groups()
+                if op != "*":
+                    break
+            if not op and other == "^" and bare:
+                raise _error(text, "expected a digit", _after_space(text, m.start(6) + 1))
+        if not op and (num is not None or index is not None or other is not None):
+            at = _after_space(text, m.end(1))
+            raise _error(text, f"unexpected character {text[at]!r}", at)
+        if p:
+            if negative:
+                p = -p
+            c = Fraction(p) if q == 1 else Fraction(p, q)
+            exp = tuple(exp)
+            acc = terms.get(exp)
+            if acc is None:
+                terms[exp] = c
+            else:
+                acc += c
+                if acc:
+                    terms[exp] = acc
+                else:
+                    del terms[exp]
+        if not op:
             break
-        if ch not in "+-":
-            sc.error(f"unexpected character {ch!r}")
-        sign = -1 if ch == "-" else 1
-        sc.pos += 1
-    return Poly(n, terms)
-
-
-def _parse_term(sc: _Scanner, n: int):
-    coeff = Fraction(1)
-    exp = [0] * n
-    saw_factor = False
-    ch = sc.peek()
-    if _is_digit(ch):
-        num = sc.take_integer()
-        den = 1
-        if sc.peek() == "/":
-            sc.pos += 1
-            at = sc.pos
-            den = sc.take_integer()
-            if den == 0:
-                sc.error("zero denominator", at)
-        coeff = Fraction(num, den)
-        saw_factor = True
-        if sc.peek() == "*":
-            sc.pos += 1
-            _parse_monomial(sc, n, exp)
-        elif sc.peek() == "x":
-            _parse_monomial(sc, n, exp)
-    elif ch == "x":
-        _parse_monomial(sc, n, exp)
-        saw_factor = True
-    else:
-        sc.error("expected a coefficient or a variable" if ch else "unexpected end of input")
-    if not saw_factor:
-        sc.error("empty term")
-    return tuple(exp), coeff
-
-
-def _parse_monomial(sc: _Scanner, n: int, exp: list):
-    while True:
-        if sc.peek() != "x":
-            sc.error("expected a variable")
-        i = sc.take_variable(n)
-        power = 1
-        if sc.peek() == "^":
-            sc.pos += 1
-            power = sc.take_integer()
-        exp[i] += power
-        if sc.peek() == "*":
-            sc.pos += 1
-            continue
-        break
+    if n < 1:
+        raise ValueError("ambient variable count must be >= 1")
+    return _raw(n, terms)

@@ -328,6 +328,27 @@ def test_env_resource_override(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [("GERMLAB_MAX_TERMS", "-5"), ("GERMLAB_MAX_TERMS", "0"), ("GERMLAB_MAX_REDUCTIONS", "-1"),
+     ("GERMLAB_MAX_PAIRS", "0")],
+)
+def test_env_bound_below_one_is_a_parse_error(tmp_path, monkeypatch, capsys, name, value):
+    # the term and reduction bounds are only checked after a reduction
+    # step, so a job that takes none would pass under a bound of -5
+    path = write_job(tmp_path / "basis.json", **base_job(ideal=["x1^2 - x2^3", "x1*x2"], command="std-basis"))
+    monkeypatch.setenv(name, value)
+    message = f"{name} must be at least 1, got {int(value)}"
+    report, code = run_job(path)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == {"kind": "parse", "message": message}
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -747,3 +768,37 @@ def test_import_builds_no_parser():
     imported, first, second = json.loads(fresh.stdout.splitlines()[-1])
     # one parser and its two subcommand parsers, built once
     assert imported == 0 and first == second == 3
+
+
+DUMP_CASES = {
+    "non-ascii and control characters": {
+        "ünïcode ключ": "x1² ≠ ٣ \\ \"quoted\" \t\n\r\x00\x1f\x7f   😀",
+        "\x01key\n": ["é", "\x08", ""],
+    },
+    "empty containers": {"empty dict": {}, "empty list": [], "nested": [{}, []]},
+    "lists of lists": {"vertices": [[0, 2], [1, 1], [3, 0]], "deep": [[[1], [[2, [3]]]], []]},
+    "big and negative ints": {"big": [2**64, 2**64 + 1, -(2**70), 10**100], "neg": -1, "zero": 0},
+    "constants": {"t": True, "f": False, "none": None, "mixed": [True, 1, False, 0, None, "1"]},
+    "a plain list": [1, "two", [3], {"b": 1, "a": [2]}],
+}
+
+
+@pytest.mark.parametrize("value", DUMP_CASES.values(), ids=DUMP_CASES)
+def test_dump_is_byte_identical_to_json_dumps(value):
+    assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dump_of_real_reports_is_byte_identical(tmp_path):
+    reports = [
+        run_job(write_job(tmp_path / "hs.json", **base_job(ideal=["x1^2 - x2^3", "x1*x2"], command="hs")))[0],
+        run_job(write_job(tmp_path / "bad.json", **base_job(ideal=["x1²"])))[0],
+        run_job(tmp_path / "missing.json")[0],
+    ]
+    for report in reports:
+        assert cli._dump(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {"a": 0.0}, {"a": [1, (2,)]}, {"a": {1, 2}}])
+def test_dump_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)

@@ -20,6 +20,7 @@ from germlab import (
     jet_truncate,
     parse_poly,
 )
+from germlab.poly import exact_det
 from germlab.seeding import make_rng
 
 
@@ -163,3 +164,65 @@ def test_hash_and_eq():
     b = p("2*x2 + x1")
     assert a == b and hash(a) == hash(b)
     assert a != p("x1 + 2*x2 + x1^2")
+
+
+def _times(a: dict, b: dict, deleted: list) -> dict:
+    """Fraction double loop; a sum that reaches zero is deleted at once."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc = out.get(e, 0) + c1 * c2
+            if acc:
+                out[e] = acc
+            else:
+                del out[e]
+                deleted.append(e)
+    return out
+
+
+def _linear_change_by_terms(f, M, deleted):
+    """Reference: each term of f expanded on Fractions with the powers of
+    the row images cached, then added to the result."""
+    n = f.n
+    unit = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    images = [{unit[j]: Fraction(M[i][j]) for j in range(n) if M[i][j]} for i in range(n)]
+    powers = [[{(0,) * n: Fraction(1)}] for _ in range(n)]
+    result = Poly.zero(n)
+    for exp, c in f.items():
+        term = {(0,) * n: c}
+        for i, e in enumerate(exp):
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(_times(cache[-1], images[i], deleted))
+            term = _times(term, cache[e], deleted)
+        result = result + Poly(n, term)
+    return result
+
+
+def test_linear_change_matches_the_term_by_term_expansion_in_order():
+    rng = make_rng("poly-linear-change")
+    deleted = []
+    singular = 0
+    for trial in range(600):
+        n = 1 + trial % 3
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            terms[exp] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 9]))
+        f = Poly(n, terms)
+        M = [
+            [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3, 5])) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial % 10 == 9:
+            M[0] = [2 * x for x in M[-1]]  # a multiple of the last row: singular
+        if not exact_det(M):
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                apply_linear_change(f, M)
+            continue
+        got = apply_linear_change(f, M)
+        assert list(got.items()) == list(_linear_change_by_terms(f, M, deleted).items())
+    assert singular >= 60
+    assert deleted  # some sums cancelled on the way, so the order was at stake
