@@ -311,13 +311,14 @@ def _parse_failure(envelope: dict, message: str, line=None, column=None):
     return envelope, 2
 
 
+def _envelope() -> dict:
+    """The fields every report and suite aggregate starts with."""
+    return {"schema_version": SCHEMA_VERSION, "tool": "germlab", "version": __version__}
+
+
 def run_job(path, limits: ResourceLimits | None = None):
     """Execute one job file; returns (report dict, exit code)."""
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "germlab",
-        "version": __version__,
-    }
+    envelope = _envelope()
     if limits is None:
         try:
             limits = limits_from_env()
@@ -431,11 +432,11 @@ def run_suite(directory, out_dir=None, limits: ResourceLimits | None = None):
     parallel replacements of this loop cannot interleave output.
     """
     directory = Path(directory)
+    aggregate = _envelope()
     if not directory.is_dir():
-        return (
-            {"schema_version": SCHEMA_VERSION, "status": "error", "error": {"kind": "io", "message": f"not a directory: {directory}"}},
-            2,
-        )
+        error = {"kind": "io", "message": f"not a directory: {directory}"}
+        aggregate.update(status="error", error=error)
+        return aggregate, 2
     out = Path(out_dir) if out_dir is not None else directory / "reports"
     jobs = sorted(p for p in directory.glob("*.json") if p.is_file())
     entries = []
@@ -446,15 +447,12 @@ def run_suite(directory, out_dir=None, limits: ResourceLimits | None = None):
         (out / f"{path.stem}.report.json").write_text(_dump(report) + "\n", encoding="utf-8")
         entries.append({"job": path.name, "status": report["status"], "exit_code": code})
         worst = max(worst, 1 if code else 0)
-    aggregate = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "germlab",
-        "version": __version__,
-        "jobs": entries,
-        "total": len(entries),
-        "passed": sum(1 for e in entries if e["exit_code"] == 0),
-        "status": "ok" if worst == 0 else "failed",
-    }
+    aggregate.update(
+        jobs=entries,
+        total=len(entries),
+        passed=sum(1 for e in entries if e["exit_code"] == 0),
+        status="ok" if worst == 0 else "failed",
+    )
     return aggregate, worst
 
 

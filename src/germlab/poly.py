@@ -135,33 +135,12 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_n(other)
-        res = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = res.get(exp)
-            if acc is None:
-                res[exp] = c
-            else:
-                acc = acc + c
-                if acc:
-                    res[exp] = acc
-                else:
-                    del res[exp]
-        return _raw(self.n, res)
+        return _raw(self.n, _add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same_n(other)
-        res = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = res.get(exp)
-            if acc is None:
-                res[exp] = -c
-            else:
-                acc = acc - c
-                if acc:
-                    res[exp] = acc
-                else:
-                    del res[exp]
-        return _raw(self.n, res)
+        negated = [(e, -c) for e, c in other._terms.items()]
+        return _raw(self.n, _add_into(dict(self._terms), negated))
 
     def __neg__(self) -> "Poly":
         return _raw(self.n, {e: -c for e, c in self._terms.items()})
@@ -242,6 +221,26 @@ def _products(pairs):
 def _numerators(terms: dict, den: int) -> list:
     """(exponent, c * den) pairs; den is a multiple of every denominator."""
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _add_into(acc: dict, terms) -> dict:
+    """Add the nonzero (exponent, coefficient) pairs of terms to acc.
+
+    A sum that reaches zero is deleted at once, so a later term at that
+    exponent enters at the end.
+    """
+    get = acc.get
+    for e, c in terms:
+        old = get(e)
+        if old is None:
+            acc[e] = c
+        else:
+            old += c
+            if old:
+                acc[e] = old
+            else:
+                del acc[e]
+    return acc
 
 
 def _mul_into(num: dict, left, right) -> dict:
@@ -421,7 +420,6 @@ def apply_linear_change(f: Poly, M) -> Poly:
     zero = (0,) * n
     powers = [[[(zero, 1)]] for _ in range(n)]
     result: dict = {}
-    get = result.get
     for exp, c in terms.items():
         term = [(zero, c.numerator * (df // c.denominator) * den ** (top - sum(exp)))]
         for i, e in enumerate(exp):
@@ -430,17 +428,7 @@ def apply_linear_change(f: Poly, M) -> Poly:
                 while len(cache) <= e:
                     cache.append(list(_mul_into({}, cache[-1], images[i]).items()))
                 term = _mul_into({}, term, cache[e]).items()
-        # result + term, in the order Poly.__add__ gives
-        for e, v in term:
-            acc = get(e)
-            if acc is None:
-                result[e] = v
-            else:
-                acc += v
-                if acc:
-                    result[e] = acc
-                else:
-                    del result[e]
+        _add_into(result, term)
     common = df * den**top
     if common == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
         return _raw(n, {e: Fraction(v) for e, v in result.items()})

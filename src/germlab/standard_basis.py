@@ -21,6 +21,9 @@ top (membership, diagrams, Becker's criterion) is unaffected by them.
 Division, Becker's check, completion and the tangent cone's reduced basis
 all reduce through one kernel, ``_submul``, on integer polynomials
 homogenized with a grading variable t (Lazard's view of Mora's algorithm).
+The kernel also divides the integer content out of each result, so every
+element the engine keeps or reduces is integer-primitive and coefficients
+stay at Gaussian-elimination size.
 With the common power of t divided out, a polynomial's ecart is the
 t-exponent of its homogenized lead, and adjoining the current polynomial
 followed by a shift by t^k is what lets a reducer of larger ecart divide
@@ -42,12 +45,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import ResourceLimitError, ZeroPolynomialError
 from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
-from .poly import Poly, _products, _raw, initial_exponent, initial_term
+from .poly import Poly, _mul_into, _products, _raw, initial_exponent, initial_term
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,16 @@ def weak_normal_form(
     division identity are materialized; without, only the remainder.
 
     The division runs on the homogenized subject and basis, one ``_submul``
-    per step.  Each step strips the integer content and the common power of
-    the grading variable t, so the lead's t-exponent is the ecart.  Among
-    the reducers whose lead x-part divides the work's, the one of least
-    ecart (first in list order) is taken; when its ecart exceeds the work's
-    by k, a copy of the work joins the reducers and the work is shifted by
-    t^k first.  The copy carries its cofactors, rebuilt by ``_cofactors``
-    from the steps since the previous copy, so the unit and quotients of
-    the result need only the steps since the last one.  Each step's scalar
-    a / c is tracked exactly, which gives the remainder with unit(0) = 1.
+    per step.  The kernel strips the integer content; each step then divides
+    out the common power of the grading variable t, so the lead's
+    t-exponent is the ecart.  Among the reducers whose lead x-part divides
+    the work's, the one of least ecart (first in list order) is taken;
+    when its ecart exceeds the work's by k, a copy of the work joins the
+    reducers and the work is shifted by t^k first.  The copy carries its
+    cofactors, rebuilt by ``_cofactors`` from the steps since the previous
+    copy, so the unit and quotients of the result need only the steps since
+    the last one.  Each step's scalar a / c is tracked exactly, which gives
+    the remainder with unit(0) = 1.
     """
     n = f.n
     if f.is_zero:
@@ -171,13 +175,11 @@ def weak_normal_form(
             work = {e + k: v for e, v in base.poly.items()}
             lead = base.lead + k
         m = lead - t.lead
-        a, b = _submul(work, t.lc, work[lead], m, t.poly)
-        c = 1
+        a, b, c = _submul(work, t.lc, work[lead], m, t.poly)
         if work:
-            c = _int_content(work)
             tmin = min(e & mask for e in work)
-            if c != 1 or tmin:
-                work = {e - tmin: v // c for e, v in work.items()}
+            if tmin:
+                work = {e - tmin: v for e, v in work.items()}
         if a != c:
             lam *= Fraction(a, c)
         if certificates:
@@ -272,14 +274,15 @@ def becker_check(
             bound = packing.grade(helems[i].lead) + packing.grade(helems[j].lead)
             packing = _fit(packing, helems, bound)
             gamma = packing.pack(exp_max(helems[i].lm, helems[j].lm))
-            work, a, _ = _spair(helems[i], helems[j], gamma)
+            work, a, _, c = _spair(helems[i], helems[j], gamma)
             if not work:
                 # dehomogenizing is injective on a homogeneous polynomial
                 reps.append((i, j, None))
                 continue
             # the s-series is scale * work at grading variable 1: the packed
-            # elements are the true ones divided by their contents
-            scale = contents[i] * contents[j] * (helems[j].lc // a)
+            # elements are the true ones divided by their contents, and the
+            # s-pair is divided by its own content c
+            scale = contents[i] * contents[j] * (helems[j].lc // a) * c
             s = _raw(n, {packing.xpart(e): scale * v for e, v in work.items()})
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
@@ -546,15 +549,6 @@ class _Packing:
         return (key >> self.wshift) + (key & self.max_grade)
 
 
-def _int_content(d: dict) -> int:
-    g = 0
-    for v in d.values():
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 class _HElement:
     """Weighted-homogeneous basis element over Z with cached lead data.
 
@@ -624,19 +618,21 @@ def _fit(packing: _Packing, elems, grade: int) -> _Packing:
     return wide
 
 
-def _submul(work: dict, lc: int, c: int, m: int, poly: dict, heap=None):
-    """The reduction kernel: work becomes a * work - b * x^m * poly, in place,
-    over packed keys.
+def _submul(work: dict, lc: int, lt: int, m: int, poly: dict, heap=None):
+    """The reduction kernel: work becomes (a * work - b * x^m * poly) / c, in
+    place, over packed keys.
 
-    Fraction-free: with lc the lead coefficient of poly and c the
+    Fraction-free: with lc the lead coefficient of poly and lt the
     coefficient of x^m * lead(poly) in work, the multipliers (a, b) are
-    (lc, c) divided by their gcd, so that term cancels with the smallest
+    (lc, lt) divided by their gcd, so that term cancels with the smallest
     integers; work is multiplied only when a != 1.  Terms that cancel are
     dropped; keys new to the support are pushed onto ``heap`` when one is
-    given.  Returns (a, b).
+    given.  c is the integer content of the result (1 when it is zero),
+    divided out so coefficients stay at Gaussian-elimination size, and
+    every result is integer-primitive.  Returns (a, b, c).
     """
-    g = gcd(lc, c)
-    a, b = lc // g, c // g
+    g = gcd(lc, lt)
+    a, b = lc // g, lt // g
     if a != 1:
         for e in work:
             work[e] *= a
@@ -654,25 +650,28 @@ def _submul(work: dict, lc: int, c: int, m: int, poly: dict, heap=None):
                 work[key] = acc
             else:
                 del work[key]
-    return a, b
+    c = gcd(*work.values())
+    if c > 1:
+        for e in work:
+            work[e] //= c
+    return a, b, c or 1
 
 
 def _spair(f: _HElement, g: _HElement, gamma: int):
-    """The s-polynomial a * x^(gamma - lm(f)) * f - b * x^(gamma - lm(g)) * g
-    of two elements with packed lead lcm gamma, built in a fresh dict;
-    returns it with (a, b)."""
+    """The s-polynomial (a * x^(gamma - lm(f)) * f - b * x^(gamma - lm(g)) * g) / c
+    of two elements with packed lead lcm gamma, built in a fresh dict by
+    ``_submul``; returns it with (a, b, c)."""
     shift = gamma - f.lead
     work = {e + shift: v for e, v in f.poly.items()}
-    a, b = _submul(work, g.lc, f.lc, gamma - g.lead, g.poly)
-    return work, a, b
+    return (work, *_submul(work, g.lc, f.lc, gamma - g.lead, g.poly))
 
 
 def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
     """Full reduction in the homogenized world, fraction-free over Z.
 
     The one reduction loop: the completion and Becker's check both reduce
-    through it.  Each step is one call of the kernel ``_submul`` followed by
-    stripping the integer content, so coefficients stay at
+    through it.  Each step is one call of the kernel ``_submul``, which
+    strips the integer content, so coefficients stay at
     Gaussian-elimination size; because every polynomial is
     weighted-homogeneous the working position walks through the finitely
     many exponents of one graded piece, so reduction is short.
@@ -702,12 +701,7 @@ def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
         else:
             continue
         m = lm - head
-        a, b = _submul(work, t.lc, work[lm], m, t.poly, heap)
-        content = _int_content(work) if work else 1
-        if content != 1:
-            for e in work:
-                work[e] //= content
-        steps.append((t, m, a, b, content))
+        steps.append((t, m, *_submul(work, t.lc, work[lm], m, t.poly, heap)))
         if len(steps) > limits.max_reductions:
             raise ResourceLimitError("max_reductions", limits.max_reductions)
         if len(work) > limits.max_terms:
@@ -769,7 +763,6 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     The sum runs on ints over one common denominator, which is then cut to
     the least one, the size the reduced Fractions would have.
     """
-    n = packing.n
     terms = list(start)
     for t, m, a, b, c in steps:
         # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
@@ -781,19 +774,9 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     for coeff, m, elem in terms:
         eden, parts = elem.cof
         mult = coeff.numerator * (den // (coeff.denominator * eden))
-        shift = packing.xpart(m)
+        term = ((packing.xpart(m), mult),)
         for k, ck in parts.items():
-            acc = cof.setdefault(k, {})
-            for e, v in ck.items():
-                key = tuple(map(add, e, shift))
-                v *= mult
-                old = acc.get(key)
-                if old is not None:
-                    v += old
-                    if not v:
-                        del acc[key]
-                        continue
-                acc[key] = v
+            _mul_into(cof.setdefault(k, {}), term, ck.items())
     g = gcd(den, *chain.from_iterable(ck.values() for ck in cof.values()))
     if g != 1:
         den //= g
@@ -910,7 +893,7 @@ def _complete(
         (i, j) = min(pairs, key=lambda key: pairs[key])
         _, _, gamma = pairs.pop((i, j))
         bi, bj = basis[i], basis[j]
-        sp, a, b = _spair(bi, bj, gamma)
+        sp, a, b, c = _spair(bi, bj, gamma)
         if not sp:
             continue
         sp, steps = _hreduce(sp, reducers, packing, limits)
@@ -918,9 +901,13 @@ def _complete(
             continue
         cof = None
         if certificates:
-            # the new element is lam * (s-pair - sum_r beta_r ...), see _cofactors
-            lam = prod(Fraction(a, c) for _, _, a, _, c in steps)
-            start = [(a * lam, gamma - bi.lead, bi), (-b * lam, gamma - bj.lead, bj)]
+            # the new element is lam * (s-pair - sum_r beta_r ...), see
+            # _cofactors, and the s-pair is (a * bi - b * bj) / c
+            lam = prod(Fraction(sa, sc) for _, _, sa, _, sc in steps)
+            start = [
+                (Fraction(a, c) * lam, gamma - bi.lead, bi),
+                (Fraction(-b, c) * lam, gamma - bj.lead, bj),
+            ]
             cof = _cofactors(steps, packing, -lam, start)
         basis.append(_HElement(sp, packing, cof))
         push_pairs(len(basis) - 1)
@@ -978,7 +965,7 @@ def _echelon_diagram(generators, order: LocalOrder):
     generators, every term of weight above eta dropped, on packed keys
     with grading variable 0, so key order is the local order and a row's
     smallest key is its lead.  Each row is top-reduced through ``_submul``
-    against the pivot rows, its content stripped after every step.  The
+    against the pivot rows, the kernel stripping its content.  The
     rows span the ideal modulo the monomials of weight above eta, and the
     order is led by the weight, so the pivots are exactly the initial
     exponents of weight at most eta (Lazard, EUROCAL 1983).  Once every
@@ -1056,10 +1043,6 @@ def _echelon_diagram(generators, order: LocalOrder):
                         found[lead >> wshift] += 1
                         break
                     _submul(row, pivot[lead], row[lead], 0, pivot)
-                    content = _int_content(row) if row else 1
-                    if content != 1:
-                        for e in row:
-                            row[e] //= content
         window = range(max(0, eta - span + 1), eta + 1)
         if all(found[w] == len(layers[w]) for w in window):
             diagram = vertices_from_exponents(map(packing.xpart, pivots), n)

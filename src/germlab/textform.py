@@ -55,6 +55,8 @@ def _integer(text: str, m, group: int) -> int:
 
 def parse_poly(text: str, n: int) -> Poly:
     """Parse ``text`` as a polynomial in x1..xn."""
+    if n < 1:
+        raise ValueError("ambient variable count must be >= 1")
     match = _TOKEN.match
     m = match(text)
     op, num, den, index, power, other = m.groups()
@@ -123,6 +125,4 @@ def parse_poly(text: str, n: int) -> Poly:
                     del terms[exp]
         if not op:
             break
-    if n < 1:
-        raise ValueError("ambient variable count must be >= 1")
     return _raw(n, terms)

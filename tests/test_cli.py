@@ -256,6 +256,20 @@ def test_suite_empty_dir(tmp_path):
     assert code == 0 and aggregate["total"] == 0
 
 
+def test_suite_on_a_missing_directory_reports_in_the_envelope(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    expected = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "tool": "germlab",
+        "version": cli.__version__,
+        "status": "error",
+        "error": {"kind": "io", "message": f"not a directory: {missing}"},
+    }
+    assert run_suite(missing) == (expected, 2)
+    assert main(["suite", str(missing)]) == 2
+    assert json.loads(capsys.readouterr().out) == expected
+
+
 def test_suite_mixed(tmp_path):
     jobs = tmp_path / "jobs"
     jobs.mkdir()

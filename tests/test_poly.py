@@ -181,6 +181,20 @@ def _times(a: dict, b: dict, deleted: list) -> dict:
     return out
 
 
+def _plus(a: dict, b: dict, deleted: list) -> dict:
+    """a + b in a fresh dict; a sum that reaches zero is deleted at once, so
+    a later term at that exponent enters at the end."""
+    out = dict(a)
+    for e, c in b.items():
+        acc = out.get(e, 0) + c
+        if acc:
+            out[e] = acc
+        else:
+            del out[e]
+            deleted.append(e)
+    return out
+
+
 def _linear_change_by_terms(f, M, deleted):
     """Reference: each term of f expanded on Fractions with the powers of
     the row images cached, then added to the result."""
@@ -188,7 +202,7 @@ def _linear_change_by_terms(f, M, deleted):
     unit = [tuple(int(j == k) for k in range(n)) for j in range(n)]
     images = [{unit[j]: Fraction(M[i][j]) for j in range(n) if M[i][j]} for i in range(n)]
     powers = [[{(0,) * n: Fraction(1)}] for _ in range(n)]
-    result = Poly.zero(n)
+    result = {}
     for exp, c in f.items():
         term = {(0,) * n: c}
         for i, e in enumerate(exp):
@@ -196,8 +210,8 @@ def _linear_change_by_terms(f, M, deleted):
             while len(cache) <= e:
                 cache.append(_times(cache[-1], images[i], deleted))
             term = _times(term, cache[e], deleted)
-        result = result + Poly(n, term)
-    return result
+        result = _plus(result, term, deleted)
+    return Poly(n, result)
 
 
 def test_linear_change_matches_the_term_by_term_expansion_in_order():
@@ -226,3 +240,26 @@ def test_linear_change_matches_the_term_by_term_expansion_in_order():
         assert list(got.items()) == list(_linear_change_by_terms(f, M, deleted).items())
     assert singular >= 60
     assert deleted  # some sums cancelled on the way, so the order was at stake
+
+
+def test_sums_keep_the_term_by_term_order():
+    rng = make_rng("poly-sum-order")
+    cancelled = reentered = 0
+    for trial in range(300):
+        n = 1 + trial % 2
+        got, want, deleted = Poly.zero(n), {}, []
+        for _ in range(rng.randint(1, 6)):
+            # few exponents and coefficients, so sums cancel and re-enter
+            b = Poly(n, {
+                tuple(rng.randint(0, 2) for _ in range(n)):
+                    Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
+                for _ in range(rng.randint(0, 5))
+            })
+            sign = rng.choice([1, -1])
+            got = got + b if sign == 1 else got - b
+            reentered += sum(1 for e in b.exponents() if e in deleted and e not in want)
+            want = _plus(want, {e: sign * c for e, c in b.items()}, deleted)
+            assert list(got.items()) == list(want.items())
+        cancelled += len(deleted)
+    # sums reached zero, and cancelled exponents came back at the end
+    assert cancelled and reentered

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from math import gcd
 
 import pytest
 
@@ -763,6 +764,25 @@ def test_echelon_diagram_matches_the_completion_on_the_corpus():
             certified += 1
             assert got[0] == _completed_diagram(ideal, order), (ideal, order)
     assert certified > 0 and declined > 0
+
+
+def test_kept_elements_and_vertex_rows_are_integer_primitive_on_the_corpus():
+    # every reduction step, the s-pair's included, divides out the content
+    checked = 0
+    for ideal in corpus():
+        n, gens = ideal.n, ideal.generators
+        for weights in ((1,) * n, (2,) + (1,) * (n - 1)):
+            for tiebreak in (REVERSE, FORWARD):
+                order = LocalOrder(PositiveLinearForm(weights), tiebreak)
+                _, elems, _ = standard_basis._complete(gens, order, DEFAULT_LIMITS, False)
+                polys = [b.poly for b in elems]
+                echelon = standard_basis._echelon_diagram(gens, order)
+                if echelon is not None:
+                    polys += echelon[2]
+                for poly in polys:
+                    assert gcd(*poly.values()) == 1, (ideal, order, poly)
+                checked += len(polys)
+    assert checked > 1000
 
 
 def test_tangent_cone_is_the_reduced_basis_on_the_corpus():

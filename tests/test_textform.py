@@ -132,3 +132,9 @@ def test_whitespace_is_exactly_str_isspace():
     for c in spaces:
         text = c.join(["", "x1", "+", "2", "/", "3", "*", "x2", "^", "2", ""])
         assert parse_poly(text, 2) == expected, repr(c)
+
+
+@pytest.mark.parametrize("text", ["3", "x1", ""])
+def test_variable_count_is_checked_before_the_text(text):
+    with pytest.raises(ValueError, match=r"^ambient variable count must be >= 1$"):
+        parse_poly(text, 0)
