@@ -104,6 +104,10 @@ class DimensionResult:
     ``dim`` comes from the degree-order diagram in the original coordinates
     and is always exact.  ``stabilized`` is true when ``change`` is a
     witness: its ``diagram`` has vertices on the first n - dim axes.
+    ``presentation`` is the ideal in the coordinates of ``change``, the one
+    the search read ``diagram`` from (the ideal itself for the identity),
+    with its cache; ``cm_certify`` scans its weighted diagrams there.  It
+    takes no part in equality, ``repr`` or the report.
     """
 
     dim: int
@@ -113,6 +117,7 @@ class DimensionResult:
     stabilized: bool
     trials: int
     seed: int
+    presentation: IdealPresentation = field(compare=False, repr=False)
 
     def as_dict(self):
         return {
@@ -150,20 +155,22 @@ def dimension_at_origin(
     rng = make_rng(rng_seed, "dimension-at-origin")
     fixed = _fixed_changes(n)
     best = None
+    changed = ideal
     for trial in range(_WITNESS_TRIALS):
         if trial < len(fixed):
             matrix = fixed[trial]
         else:
             matrix = _random_invertible(rng, n, 2 + (trial - len(fixed)) // 2)
         if trial:  # trial 0 is the identity: d is the original diagram
-            d = diagram_of_ideal(_changed_ideal(ideal, matrix), order, limits)
+            changed = _changed_ideal(ideal, matrix)
+            d = diagram_of_ideal(changed, order, limits)
         k = axis_vertex_prefix(d)
         if best is None or k > best[0]:
-            best = (k, matrix, d)
+            best = (k, matrix, d, changed)
         if k == n - dim:
             break
-    k, matrix, d = best
-    return DimensionResult(dim, k, matrix, d, k == n - dim, trial + 1, rng_seed)
+    k, matrix, d, changed = best
+    return DimensionResult(dim, k, matrix, d, k == n - dim, trial + 1, rng_seed, changed)
 
 
 @dataclass(frozen=True)
@@ -206,7 +213,12 @@ def cm_certify(
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> CmCertificate:
     """Search l = 1..l_max for a product-shaped staircase in the witness
-    coordinates of the dimension run."""
+    coordinates of the dimension run.
+
+    ``dimension`` must be ``dimension_at_origin`` of this ``ideal`` (None
+    runs it): the scan reads the witness presentation it carries, so the
+    l = 1 diagram, the search's own degree-order one, is a cached entry.
+    """
     if dimension is None:
         dimension = dimension_at_origin(ideal, rng_seed, limits=limits)
     n = ideal.n
@@ -215,10 +227,9 @@ def cm_certify(
         # Free and Artinian quotients respectively; both trivially CM.
         factor = () if k == 0 else tuple(sorted(dimension.diagram.vertices))
         return CmCertificate("certified", 1, l_max, k, dimension, factor)
-    changed = _changed_ideal(ideal, dimension.change)
     for l in range(1, l_max + 1):
         form = PositiveLinearForm((1,) * k + (l,) * (n - k))
-        d = diagram_of_ideal(changed, LocalOrder(form, REVERSE), limits)
+        d = diagram_of_ideal(dimension.presentation, LocalOrder(form, REVERSE), limits)
         factor = product_structure(d, k)
         if factor is not None:
             return CmCertificate("certified", l, l_max, k, dimension, tuple(factor))

@@ -41,7 +41,7 @@ class Poly:
     def __init__(self, n: int, terms=None):
         if n < 1:
             raise ValueError("ambient variable count must be >= 1")
-        clean = {}
+        checked = []
         if terms:
             for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
                 exp = tuple(exp)
@@ -53,17 +53,9 @@ class Poly:
                     raise ValueError(f"exponents must be non-negative ints: {exp}")
                 c = _as_fraction(coeff)
                 if c:
-                    acc = clean.get(exp)
-                    if acc is None:
-                        clean[exp] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            clean[exp] = acc
-                        else:
-                            del clean[exp]
+                    checked.append((exp, c))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _add_into({}, checked))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -227,7 +219,8 @@ def _add_into(acc: dict, terms) -> dict:
     """Add the nonzero (exponent, coefficient) pairs of terms to acc.
 
     A sum that reaches zero is deleted at once, so a later term at that
-    exponent enters at the end.
+    exponent enters at the end.  The one sum loop: ``+``, ``-``,
+    ``apply_linear_change``, the constructor and ``parse_poly`` add here.
     """
     get = acc.get
     for e, c in terms:

@@ -805,13 +805,15 @@ def _complete(
     evaluating the grading variable back at 1, which makes the dehomogenized
     set a standard basis for the local order.  Pairs are processed by
     smallest lcm weight first, ties by pair index, so output is a
-    deterministic function of (generators, order).  Returns (packing,
-    elements, diagram): the kept graded elements (the surviving graded basis
-    with the original generators alongside), each carrying its cofactors
-    over the original generators when certificates are requested, and the
-    diagram of their leads.  Nothing is dehomogenized here;
-    ``_completion_result`` does that on the first read of the cached
-    result's basis.
+    deterministic function of (generators, order).  Each s-pair reduces
+    against the active elements, those whose leads no later lead divides,
+    in the order they became active: ``active`` is the reducer set.
+    Returns (packing, elements, diagram): the kept graded elements (the
+    surviving graded basis with the original generators alongside), each
+    carrying its cofactors over the original generators when certificates
+    are requested, and the diagram of their leads.  Nothing is
+    dehomogenized here; ``_completion_result`` does that on the first read
+    of the cached result's basis.
     """
     n = order.n
     if not generators:
@@ -822,7 +824,6 @@ def _complete(
     pairs: dict = {}  # (i, j) -> (lcm grade, creation counter, packed lcm)
     counter = 0
     active = []  # indices whose leads are not divisible by a later lead
-    reducers = []
 
     def push_pairs(new_index):
         """Becker-Weispfenning update: Gebauer-Moeller pruning of the pair
@@ -880,12 +881,9 @@ def _complete(
         for i in list(active):
             if not (basis[i].lead - lead) & guard:
                 active.remove(i)
-                reducers.remove(basis[i])
         active.append(new_index)
-        reducers.append(basis[new_index])
 
     active.append(0)
-    reducers.append(basis[0])
     for k in range(1, len(basis)):
         push_pairs(k)
 
@@ -894,9 +892,7 @@ def _complete(
         _, _, gamma = pairs.pop((i, j))
         bi, bj = basis[i], basis[j]
         sp, a, b, c = _spair(bi, bj, gamma)
-        if not sp:
-            continue
-        sp, steps = _hreduce(sp, reducers, packing, limits)
+        sp, steps = _hreduce(sp, [basis[k] for k in active], packing, limits)
         if not sp:
             continue
         cof = None

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly, _raw
+from .poly import Poly, _add_into, _raw
 
 # One token: an optional operator, then a factor, whitespace around both.
 # Digits are ASCII only ('²' and '٣' pass str.isdigit); \s matches exactly
@@ -64,7 +64,7 @@ def parse_poly(text: str, n: int) -> Poly:
         raise _error(text, "expected a coefficient or a variable", m.start(1))
     if not op and num is None and index is None and other is None:
         raise _error(text, "empty polynomial", m.end())
-    terms = {}
+    terms = []
     while True:
         # a term: op is its sign ('' before an unsigned first term) and m
         # holds its first factor
@@ -112,17 +112,7 @@ def parse_poly(text: str, n: int) -> Poly:
         if p:
             if negative:
                 p = -p
-            c = Fraction(p) if q == 1 else Fraction(p, q)
-            exp = tuple(exp)
-            acc = terms.get(exp)
-            if acc is None:
-                terms[exp] = c
-            else:
-                acc += c
-                if acc:
-                    terms[exp] = acc
-                else:
-                    del terms[exp]
+            terms.append((tuple(exp), Fraction(p) if q == 1 else Fraction(p, q)))
         if not op:
             break
-    return _raw(n, terms)
+    return _raw(n, _add_into({}, terms))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from germlab import (
@@ -21,7 +23,7 @@ from germlab import (
     tangent_cone_ideal,
     tangent_cones_equal,
 )
-from germlab import germs, standard_basis
+from germlab import germs, poly, standard_basis
 from germlab.diagram import axis_vertex_prefix
 from germlab.orders import LocalOrder, PositiveLinearForm
 from germlab.poly import initial_form
@@ -69,6 +71,45 @@ def test_dimension_axis_arithmetic():
     assert res.trials == 2
     assert res.change == ((1, 1), (1, 2))
     assert axis_vertex_prefix(diagram_of_ideal(germs._changed_ideal(I, res.change), order)) == 1
+
+
+def test_dimension_result_carries_its_witness_presentation():
+    I = ideal("x1*x2")
+    dim = dimension_at_origin(I, 3)
+    assert dim.change == ((1, 1), (1, 2))
+    assert dim.presentation.diagram(degree_order(2, REVERSE)) == dim.diagram
+    # the presentation is not part of the value or the report
+    other = replace(dim, presentation=IdealPresentation(2, []))
+    assert other == dim and repr(other) == repr(dim)
+    assert other.as_dict() == dim.as_dict()
+    # the identity is a witness here, so the search changed nothing
+    J = ideal("x1", "x2")
+    assert dimension_at_origin(J, 1).presentation is J
+
+
+def test_cm_certify_scans_the_witness_presentation(monkeypatch):
+    I = ideal("x1*x2")
+    dim = dimension_at_origin(I, 3)
+    assert dim.change == ((1, 1), (1, 2)) and dim.dim == 1
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(germs, "apply_linear_change")
+    counted(poly, "apply_linear_change")
+    counted(standard_basis, "_complete")
+    counted(standard_basis, "_echelon_diagram")
+    # k = 1 of n = 2: the l = 1 diagram is the search's cached entry
+    cm = cm_certify(I, 4, 3, dimension=dim)
+    assert cm.certified and cm.l == 1 and cm.k == 1
+    assert calls == []
 
 
 def test_dimension_needs_no_change_when_the_identity_is_a_witness():

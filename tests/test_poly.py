@@ -82,6 +82,14 @@ def test_no_zero_terms_stored():
     assert Poly(2, {(1, 0): Fraction(0)}).is_zero
 
 
+def test_constructor_sums_repeated_exponents_in_order():
+    # (1, 0) cancels after its second pair and re-enters after (0, 1)
+    q = Poly(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((1, 0), 3)])
+    assert list(q.exponents()) == [(0, 1), (1, 0)]
+    assert q.coeff((1, 0)) == 3 and q.coeff((0, 1)) == 2
+    assert Poly(2, [((1, 1), 2), ((0, 2), 1), ((1, 1), -2), ((0, 2), -1)]).is_zero
+
+
 def test_initial_exponent_worked_examples():
     either = [degree_order(2, FORWARD), degree_order(2, REVERSE)]
     for order in either:
