@@ -7,78 +7,93 @@ found by exact integer elimination (denominators cleared per row, rows kept
 primitive by gcd).  Pivot columns of the echelon form are precisely the
 initial exponents realized inside the truncation, which is what makes this
 an oracle for diagrams as well as for Hilbert-Samuel tables.  It exists to
-be trusted, not to be fast.  Its columns and row shifts come from
-``orders.weighted_box``, a primitive at the level of the order keys it
-sorts them by, and checked against a brute-force enumeration of its own.
+be trusted, not to be fast, and stays plain: exponent tuples, dict rows
+and gcds, with nothing taken from the completion engine.  Its columns and
+row shifts come from ``orders.weighted_box``, a primitive at the level of
+the order keys it sorts them by, and checked against a brute-force
+enumeration of its own.  One echelon is kept per (presentation, order,
+eta), held weakly by the presentation, so ``oracle_hs`` reads the
+forward-degree echelon ``oracle_staircase`` built for the same eta.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, lcm
 
 from .diagram import HilbertSamuelTable
+from .errors import DimensionMismatchError
 from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, exp_add, weighted_box
 from .standard_basis import IdealPresentation
+
+# truncated_echelon's summaries, {(order, eta): summary} per presentation;
+# a presentation that is collected takes its entry with it
+_ECHELONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
 class TruncationBasis:
-    """Monomials of weight <= eta, sorted ascending by a local order."""
+    """Monomials of weight <= eta, sorted ascending by a local order, with
+    the weight of each."""
 
     order: LocalOrder
     eta: int
     monomials: tuple
     index: dict
+    weights: tuple
 
     @classmethod
     def build(cls, order: LocalOrder, eta: int) -> "TruncationBasis":
         monos = sorted(weighted_box(order.form.weights, eta), key=order.key)
-        return cls(order, eta, tuple(monos), {m: i for i, m in enumerate(monos)})
+        return cls(
+            order,
+            eta,
+            tuple(monos),
+            {m: i for i, m in enumerate(monos)},
+            tuple(map(order.form.weight, monos)),
+        )
 
 
 def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
     """Truncated jets of x^alpha * F_i as sparse integer rows.
 
-    Multiples with every term pushed past eta are skipped outright; the
-    remaining rows are generated in a deterministic order.
+    Per generator the shifts alpha are the columns themselves, in column
+    order, up to weight eta minus the generator's order, so every row keeps
+    at least that lowest-weight term; a term stays when its weight fits in
+    what alpha leaves of eta.
     """
     form = tb.order.form
-    eta = tb.eta
+    eta, index = tb.eta, tb.index
     rows = []
     for gen in ideal.generators:
         terms = sorted(gen.items(), key=lambda t: tb.order.key(t[0]))
-        scale = lcm(*(c.denominator for _, c in terms)) if terms else 1
-        int_terms = [(e, int(c * scale)) for e, c in terms]
-        min_w = min(form.weight(e) for e, _ in int_terms)
-        for alpha in sorted(weighted_box(form.weights, eta - min_w), key=tb.order.key):
-            row = {}
-            for e, c in int_terms:
-                shifted = exp_add(e, alpha)
-                if form.weight(shifted) <= eta:
-                    row[tb.index[shifted]] = c
-            if row:
-                rows.append(row)
+        scale = lcm(*(c.denominator for _, c in terms))
+        int_terms = [(e, form.weight(e), c.numerator * (scale // c.denominator)) for e, c in terms]
+        top = eta - min(w for _, w, _ in int_terms)
+        for alpha, wa in zip(tb.monomials, tb.weights):
+            if wa > top:
+                break
+            room = eta - wa
+            rows.append({index[exp_add(e, alpha)]: c for e, w, c in int_terms if w <= room})
     return rows
 
 
 def _normalize(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
+    """The row divided by its content, with a positive lead."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
         row = {c: v // g for c, v in row.items()}
-    lead = min(row)
-    if row[lead] < 0:
-        row = {c: -v for c, v in row.items()}
     return row
 
 
 def _echelon(rows) -> dict:
     """Sparse integer echelon; returns {pivot column: pivot row}."""
     pivots: dict = {}
-    for row in rows:
-        r = dict(row)
+    for r in rows:
         while r:
             lead = min(r)
             p = pivots.get(lead)
@@ -86,6 +101,8 @@ def _echelon(rows) -> dict:
                 pivots[lead] = _normalize(r)
                 break
             a, b = r[lead], p[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
             new = {c: b * v for c, v in r.items()}
             for c, v in p.items():
                 acc = new.get(c, 0) - a * v
@@ -115,11 +132,21 @@ class EchelonSummary:
 def truncated_echelon(
     ideal: IdealPresentation, order: LocalOrder, eta: int
 ) -> EchelonSummary:
+    """The echelon summary of the truncation at eta, built once per
+    (presentation, order, eta) and kept while the presentation lives."""
+    if order.n != ideal.n:
+        raise DimensionMismatchError(
+            f"order on {order.n} variables for an ideal on {ideal.n}"
+        )
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    tb = TruncationBasis.build(order, eta)
-    pivots = _echelon(_integer_rows(ideal, tb))
-    return EchelonSummary(tb, tuple(sorted(pivots)))
+    memo = _ECHELONS.setdefault(ideal, {})
+    summary = memo.get((order, eta))
+    if summary is None:
+        tb = TruncationBasis.build(order, eta)
+        pivots = _echelon(_integer_rows(ideal, tb))
+        summary = memo[(order, eta)] = EchelonSummary(tb, tuple(sorted(pivots)))
+    return summary
 
 
 def truncated_quotient_dim(
@@ -140,13 +167,13 @@ def oracle_hs(ideal: IdealPresentation, eta_max: int) -> HilbertSamuelTable:
     if eta_max < 0:
         raise ValueError("eta_max must be >= 0")
     summary = truncated_echelon(ideal, degree_order(ideal.n, FORWARD), eta_max)
-    monos = summary.basis.monomials
-    values = []
-    for eta in range(eta_max + 1):
-        cols = sum(1 for m in monos if sum(m) <= eta)
-        rank = sum(1 for c in summary.pivot_columns if sum(monos[c]) <= eta)
-        values.append(cols - rank)
-    return HilbertSamuelTable(tuple(values))
+    weights = summary.basis.weights
+    free = [0] * (eta_max + 1)  # columns minus pivots, per degree
+    for w in weights:
+        free[w] += 1
+    for c in summary.pivot_columns:
+        free[weights[c]] -= 1
+    return HilbertSamuelTable(tuple(accumulate(free)))
 
 
 def oracle_staircase(ideal: IdealPresentation, order: LocalOrder, eta: int):

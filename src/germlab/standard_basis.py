@@ -48,7 +48,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .diagram import Diagram, vertices_from_exponents
-from .errors import ResourceLimitError, ZeroPolynomialError
+from .errors import DimensionMismatchError, ResourceLimitError, ZeroPolynomialError
 from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
 from .poly import Poly, _mul_into, _products, _raw, initial_exponent, initial_term
 
@@ -96,6 +96,15 @@ class NormalFormResult:
         return not _products(pairs)[1]
 
 
+def _check_variables(polys, order: LocalOrder):
+    """DimensionMismatchError unless every polynomial is on order.n variables."""
+    for p in polys:
+        if p.n != order.n:
+            raise DimensionMismatchError(
+                f"polynomial on {p.n} variables under an order on {order.n}"
+            )
+
+
 def _content(p: Poly) -> Fraction:
     """Positive rational c with p/c integer-primitive; growth control."""
     num = 0
@@ -133,6 +142,7 @@ def weak_normal_form(
     the remainder with unit(0) = 1.
     """
     n = f.n
+    _check_variables((f, *basis), order)
     if f.is_zero:
         zero = Poly.zero(n)
         if certificates:
@@ -264,6 +274,7 @@ def becker_check(
     the fallback.
     """
     n = order.n
+    _check_variables(basis, order)
     if any(g.is_zero for g in basis):
         raise ZeroPolynomialError("basis elements must be nonzero")
     packing, helems, contents = _homogenize(basis, order)
@@ -436,6 +447,10 @@ class IdealPresentation:
         holds it, and the result runs the completion too on its first read,
         under these ``limits``.
         """
+        if order.n != self.n:
+            raise DimensionMismatchError(
+                f"order on {order.n} variables for an ideal on {self.n}"
+            )
         with self._lock:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
@@ -760,21 +775,25 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     sum of coeff * x^m * elem.poly over the (coeff, packed m, elem) triples
     of ``start``, summed from the elements' own cofactors.  Evaluating the
     grading variable at 1 is a ring map, so only the x-part of each m counts.
-    The sum runs on ints over one common denominator, which is then cut to
-    the least one, the size the reduced Fractions would have.
+    ``scale`` and the coefficients of ``start`` are ints or Fractions; each
+    step's coefficient and the running scale are integer pairs (num, den),
+    den > 0, cut to lowest terms by one gcd as they are made, so no
+    Fraction is built.  The sum runs on ints over one common denominator,
+    which is then cut to the least one, the size the reduced Fractions
+    would have.
     """
-    terms = list(start)
+    terms = [(coeff.numerator, coeff.denominator, m, elem) for coeff, m, elem in start]
+    snum, sden = scale.numerator, scale.denominator
     for t, m, a, b, c in steps:
         # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
-        terms.append((scale * b / a, m, t))
+        terms.append((*_lowest(snum * b, sden * a), m, t))
         if a != c:
-            scale = scale * c / a
-    den = lcm(*[coeff.denominator * elem.cof[0] for coeff, _, elem in terms])
+            snum, sden = _lowest(snum * c, sden * a)
+    den = lcm(*[q * elem.cof[0] for _, q, _, elem in terms])
     cof: dict = {}
-    for coeff, m, elem in terms:
+    for p, q, m, elem in terms:
         eden, parts = elem.cof
-        mult = coeff.numerator * (den // (coeff.denominator * eden))
-        term = ((packing.xpart(m), mult),)
+        term = ((packing.xpart(m), p * (den // (q * eden))),)
         for k, ck in parts.items():
             _mul_into(cof.setdefault(k, {}), term, ck.items())
     g = gcd(den, *chain.from_iterable(ck.values() for ck in cof.values()))
@@ -782,6 +801,12 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
         den //= g
         cof = {k: {e: v // g for e, v in ck.items()} for k, ck in cof.items()}
     return den, cof
+
+
+def _lowest(p: int, q: int) -> tuple:
+    """p / q as (num, den) in lowest terms with den > 0, as Fraction keeps it."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
 
 
 def _cofactor_polys(n: int, cof, count: int, lc: int = 1) -> list:

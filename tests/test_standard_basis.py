@@ -1,13 +1,16 @@
 import random
 import sys
 import threading
-from math import gcd
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 import pytest
 
 from germlab import (
     FORWARD,
     REVERSE,
+    DimensionMismatchError,
     IdealPresentation,
     Poly,
     ResourceLimitError,
@@ -39,7 +42,8 @@ from germlab.standard_basis import (
     becker_check,
     is_proper,
 )
-from germlab.oracle import oracle_staircase
+from germlab.oracle import oracle_staircase, truncated_quotient_dim
+from germlab.poly import _mul_into
 from germlab.seeding import make_rng
 
 from _corpus import corpus, random_poly
@@ -967,3 +971,106 @@ def test_concurrent_cone_reads_reduce_once(monkeypatch):
     assert errors == []
     assert all(cone == cones[0] for cone in cones) and len(reduced) == 1
     assert cones[0] == [p("x1^2 + x2^2 + x1*x3", 3), p("x2*x3^2", 3)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda I, order: oracle_staircase(I, order, 4), id="oracle_staircase"),
+        pytest.param(
+            lambda I, order: truncated_quotient_dim(I, order.form, 4), id="truncated_quotient_dim"
+        ),
+        pytest.param(lambda I, order: becker_check(list(I.generators), order), id="becker_check"),
+        pytest.param(
+            lambda I, order: weak_normal_form(I.generators[0], list(I.generators), order),
+            id="weak_normal_form",
+        ),
+        pytest.param(lambda I, order: I.diagram(order), id="diagram"),
+        pytest.param(lambda I, order: I.completion(order), id="completion"),
+    ],
+)
+def test_an_order_on_another_number_of_variables_is_refused(call, n):
+    I = IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2")])
+    with pytest.raises(DimensionMismatchError):
+        call(I, degree_order(n))
+
+
+def _fraction_cofactors(steps, packing, scale, start=()):
+    """``_cofactors`` as it was on Fraction step scalars: the reference."""
+    terms = list(start)
+    for t, m, a, b, c in steps:
+        terms.append((scale * b / a, m, t))
+        if a != c:
+            scale = scale * c / a
+    den = lcm(*[coeff.denominator * elem.cof[0] for coeff, _, elem in terms])
+    cof: dict = {}
+    for coeff, m, elem in terms:
+        eden, parts = elem.cof
+        mult = coeff.numerator * (den // (coeff.denominator * eden))
+        term = ((packing.xpart(m), mult),)
+        for k, ck in parts.items():
+            _mul_into(cof.setdefault(k, {}), term, ck.items())
+    g = gcd(den, *chain.from_iterable(ck.values() for ck in cof.values()))
+    if g != 1:
+        den //= g
+        cof = {k: {e: v // g for e, v in ck.items()} for k, ck in cof.items()}
+    return den, cof
+
+
+def _no_fraction(*args, **kwargs):
+    raise AssertionError("a Fraction was built or combined inside _cofactors")
+
+
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def _terms(polys):
+    return [list(q.items()) for q in polys]
+
+
+def _certified_outputs(ideal, order):
+    """Completion certificates, Becker representations and division
+    quotients and units of the ideal, term order included."""
+    result = ideal.completion(order, certificates=True)
+    basis = list(result.basis)
+    out = [_terms(basis), [_terms(cert) for cert in result.certificates]]
+    becker = becker_check(basis, order)
+    out.append((becker.ok, becker.failure))
+    for i, j, rep in becker.representations:
+        if rep is not None:
+            out.append((i, j, _terms(rep.quotients), list(rep.unit.items())))
+    for g in ideal.generators:
+        nf = weak_normal_form(g, basis, order)
+        out.append((_terms(nf.quotients), list(nf.unit.items()), list(nf.remainder.items())))
+    return out
+
+
+def test_integer_cofactors_match_the_fraction_reference_on_the_corpus(monkeypatch):
+    real = standard_basis._cofactors
+    calls = []
+
+    def integer_only(steps, packing, scale, start=()):
+        with monkeypatch.context() as m:
+            m.setattr(standard_basis, "Fraction", _no_fraction)
+            for name in _FRACTION_ARITHMETIC:
+                m.setattr(Fraction, name, _no_fraction)
+            den, cof = real(steps, packing, scale, start)
+        assert den > 0
+        assert gcd(den, *chain.from_iterable(ck.values() for ck in cof.values())) == 1
+        calls.append(den)
+        return den, cof
+
+    ideals = corpus()
+    for ideal in ideals:
+        n = ideal.n
+        for order in (degree_order(n), LocalOrder(PositiveLinearForm((2,) + (1,) * (n - 1)))):
+            monkeypatch.setattr(standard_basis, "_cofactors", _fraction_cofactors)
+            want = _certified_outputs(IdealPresentation(n, ideal.generators), order)
+            monkeypatch.setattr(standard_basis, "_cofactors", integer_only)
+            got = _certified_outputs(IdealPresentation(n, ideal.generators), order)
+            assert got == want, (ideal, order)
+    assert len(calls) > 1000 and max(calls) > 1
