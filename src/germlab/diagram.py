@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add
 
+from .errors import DimensionMismatchError
 from .orders import PositiveLinearForm, degree_form, exp_divides
 
 
@@ -44,6 +45,8 @@ class Diagram:
 
     def member(self, exponent) -> bool:
         exponent = tuple(exponent)
+        if len(exponent) != self.n:
+            raise DimensionMismatchError(f"exponent {exponent} in a diagram on {self.n}")
         return any(exp_divides(v, exponent) for v in self.vertices)
 
     def sorted_vertices(self):
@@ -52,15 +55,22 @@ class Diagram:
 
     def max_vertex_weight(self, form: PositiveLinearForm | None = None) -> int:
         """Largest vertex weight; 0 for the empty diagram."""
-        if not self.vertices:
-            return 0
         if form is None:
             form = degree_form(self.n)
-        return max(form.weight(v) for v in self.vertices)
+        _check_form(form, self.n)
+        return max(map(form.weight, self.vertices), default=0)
 
     def contains(self, other: "Diagram") -> bool:
         """Staircase containment: every vertex of ``other`` is a member."""
+        if other.n != self.n:
+            raise DimensionMismatchError(f"diagrams on {self.n} and {other.n} coordinates")
         return all(self.member(v) for v in other.vertices)
+
+
+def _check_form(form: PositiveLinearForm, n: int):
+    """DimensionMismatchError unless the form is on n coordinates."""
+    if form.n != n:
+        raise DimensionMismatchError(f"form on {form.n} coordinates, diagram on {n}")
 
 
 def vertices_from_exponents(exponents, n: int | None = None) -> Diagram:
@@ -125,8 +135,7 @@ def complement_count(d: Diagram, form: PositiveLinearForm, eta: int) -> int:
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    if form.n != d.n:
-        raise ValueError(f"form on {form.n} coordinates, diagram on {d.n}")
+    _check_form(form, d.n)
     return sum(_complement_histogram(d, form.weights, eta))
 
 
@@ -212,7 +221,8 @@ def diagrams_equal_up_to(
     of one inside the box belongs to the other.
     """
     if d1.n != d2.n:
-        raise ValueError("diagrams on different ambient sizes")
+        raise DimensionMismatchError(f"diagrams on {d1.n} and {d2.n} coordinates")
+    _check_form(form, d1.n)
     for v in d1.vertices:
         if form.weight(v) <= l and not d2.member(v):
             return False

@@ -4,10 +4,11 @@ A polynomial is a finite map from exponent tuples to nonzero Fractions.
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between workers.  Floating
 point never appears: staircase and flatness verdicts downstream are
-discrete and must be exact.  Storage stays Fraction-valued, but sums of
-products (``*`` and the re-expansion checks of the division and
-standard-basis results) run on integer numerators over one common
-denominator, and a Fraction is built only per output term.
+discrete and must be exact.  Storage stays Fraction-valued, but
+arithmetic runs on integers, with one conversion each way: ``_integral``
+brings a polynomial over the lcm of its denominators, and ``_over``
+builds one from integer numerators over one denominator.  Products,
+re-expansion checks and linear changes run on integers in between.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter
+from operator import add
 
 from .errors import (
     DimensionMismatchError,
@@ -33,6 +34,16 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
+def _exponent(exp, n: int) -> tuple:
+    """exp as a tuple, checked to be n non-negative ints."""
+    exp = tuple(exp)
+    if len(exp) != n:
+        raise DimensionMismatchError(f"exponent {exp} in a polynomial on {n} variables")
+    if any(not isinstance(b, int) or b < 0 for b in exp):
+        raise ValueError(f"exponents must be non-negative ints: {exp}")
+    return exp
+
+
 class Poly:
     """Polynomial in ``n`` variables, stored as {exponent tuple: Fraction}."""
 
@@ -44,13 +55,7 @@ class Poly:
         checked = []
         if terms:
             for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
-                exp = tuple(exp)
-                if len(exp) != n:
-                    raise DimensionMismatchError(
-                        f"exponent {exp} in a polynomial on {n} variables"
-                    )
-                if any(not isinstance(b, int) or b < 0 for b in exp):
-                    raise ValueError(f"exponents must be non-negative ints: {exp}")
+                exp = _exponent(exp, n)
                 c = _as_fraction(coeff)
                 if c:
                     checked.append((exp, c))
@@ -142,9 +147,7 @@ class Poly:
             return self.scale(other)
         self._check_same_n(other)
         den, num = _products([(self, other)])
-        if den == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
-            return _raw(self.n, {e: Fraction(v) for e, v in num.items()})
-        return _raw(self.n, {e: Fraction(v, den) for e, v in num.items()})
+        return _over(self.n, den, num.items())
 
     __rmul__ = __mul__
 
@@ -156,10 +159,10 @@ class Poly:
 
     def mul_term(self, coeff, exponent) -> "Poly":
         """Multiply by the single term coeff * x^exponent."""
+        exponent = _exponent(exponent, self.n)
         c = _as_fraction(coeff)
         if not c:
             return Poly.zero(self.n)
-        exponent = tuple(exponent)
         return _raw(self.n, {exp_add(e, exponent): c * v for e, v in self._terms.items()})
 
     # -- equality ----------------------------------------------------------
@@ -185,34 +188,36 @@ class Poly:
         return f"Poly({self.n}, '{format_poly(self)}')"
 
 
-_denominator = attrgetter("denominator")
-
-
 def _products(pairs):
     """Sum of p * q over (p, q) pairs on integer numerators.
 
     Returns (den, num): the sum is num[e] / den at each exponent e, num
     holds no zero, and den is a common denominator, not always the least.
-    Each operand's coefficients are brought over the lcm of their
-    denominators once, so the double loop multiplies ints only.
+    Each operand is brought over the lcm of its denominators once
+    (``_integral``), so the double loop multiplies ints only.
     """
-    den = 1
-    operands = []
-    for p, q in pairs:
-        dp = lcm(*map(_denominator, p._terms.values()))
-        dq = lcm(*map(_denominator, q._terms.values()))
-        den = lcm(den, dp * dq)
-        operands.append((p._terms, dq, q._terms))
+    operands = [(*_integral(p), *_integral(q)) for p, q in pairs]
+    den = lcm(*[dp * dq for dp, _, dq, _ in operands])
     num: dict = {}
-    for left, dq, right in operands:
-        # den / dq is a multiple of every denominator of the left operand
-        _mul_into(num, _numerators(left, den // dq), _numerators(right, dq))
+    for dp, left, dq, right in operands:
+        if dp * dq != den:
+            left = [(e, v * (den // (dp * dq))) for e, v in left]
+        _mul_into(num, left, right)
     return den, num
 
 
-def _numerators(terms: dict, den: int) -> list:
-    """(exponent, c * den) pairs; den is a multiple of every denominator."""
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def _integral(p: Poly) -> tuple:
+    """(d, [(exponent, int c * d)]) for d the lcm of p's denominators."""
+    terms = p._terms
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+
+
+def _over(n: int, den: int, pairs) -> Poly:
+    """The polynomial of v / den over (exponent, nonzero int v) pairs."""
+    if den == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
+        return _raw(n, {e: Fraction(v) for e, v in pairs})
+    return _raw(n, {e: Fraction(v, den) for e, v in pairs})
 
 
 def _add_into(acc: dict, terms) -> dict:
@@ -333,12 +338,8 @@ def _matrix_rows(M, n: int):
 def exact_det(M) -> Fraction:
     """Exact determinant: the matrix is brought over the lcm of its
     denominators and eliminated fraction-free on integers."""
-    rows = [[_as_fraction(x) for x in row] for row in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    den, a = _integer_matrix(rows)
-    return Fraction(_int_det(a), den**n)
+    den, a = _integer_matrix(_matrix_rows(M, len(M)))
+    return Fraction(_int_det(a), den ** len(a))
 
 
 def _integer_matrix(rows):
@@ -371,7 +372,7 @@ def _int_det(a) -> int:
 
 def invert_matrix(M):
     """Exact inverse as nested tuples of Fractions."""
-    rows = [[_as_fraction(x) for x in row] for row in M]
+    rows = _matrix_rows(M, len(M))
     n = len(rows)
     aug = [rows[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -407,14 +408,13 @@ def apply_linear_change(f: Poly, M) -> Poly:
     ]
     if not _int_det(a):
         raise SingularMatrixError("coordinate change matrix is singular")
-    terms = f._terms
-    top = max(map(sum, terms), default=0)
-    df = lcm(*map(_denominator, terms.values()))
+    df, terms = _integral(f)
+    top = max(map(sum, f.exponents()), default=0)
     zero = (0,) * n
     powers = [[[(zero, 1)]] for _ in range(n)]
     result: dict = {}
-    for exp, c in terms.items():
-        term = [(zero, c.numerator * (df // c.denominator) * den ** (top - sum(exp)))]
+    for exp, c in terms:
+        term = [(zero, c * den ** (top - sum(exp)))]
         for i, e in enumerate(exp):
             if e:
                 cache = powers[i]
@@ -422,10 +422,7 @@ def apply_linear_change(f: Poly, M) -> Poly:
                     cache.append(list(_mul_into({}, cache[-1], images[i]).items()))
                 term = _mul_into({}, term, cache[e]).items()
         _add_into(result, term)
-    common = df * den**top
-    if common == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
-        return _raw(n, {e: Fraction(v) for e, v in result.items()})
-    return _raw(n, {e: Fraction(v, common) for e, v in result.items()})
+    return _over(n, df * den**top, result.items())
 
 
 # -- canonical text form ------------------------------------------------------

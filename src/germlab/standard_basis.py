@@ -23,7 +23,9 @@ all reduce through one kernel, ``_submul``, on integer polynomials
 homogenized with a grading variable t (Lazard's view of Mora's algorithm).
 The kernel also divides the integer content out of each result, so every
 element the engine keeps or reduces is integer-primitive and coefficients
-stay at Gaussian-elimination size.
+stay at Gaussian-elimination size.  Coefficients enter through
+``poly._integral`` and leave through ``poly._over``; in between, contents
+and step scalars are reduced integer pairs (num, den), never Fractions.
 With the common power of t divided out, a polynomial's ecart is the
 t-exponent of its homogenized lead, and adjoining the current polynomial
 followed by a shift by t^k is what lets a reducer of larger ecart divide
@@ -41,16 +43,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 from operator import mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import DimensionMismatchError, ResourceLimitError, ZeroPolynomialError
 from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
-from .poly import Poly, _mul_into, _products, _raw, initial_exponent, initial_term
+from .poly import Poly, _integral, _mul_into, _over, _products, initial_exponent, initial_term
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,6 @@ def _check_variables(polys, order: LocalOrder):
             )
 
 
-def _content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-primitive; growth control."""
-    num = 0
-    den = 1
-    for _, coeff in p.items():
-        num = gcd(num, coeff.numerator)
-        den = lcm(den, coeff.denominator)
-    return Fraction(num, den)
-
-
 def weak_normal_form(
     f: Poly,
     basis,
@@ -138,8 +129,8 @@ def weak_normal_form(
     reducers and the work is shifted by t^k first.  The copy carries its
     cofactors, rebuilt by ``_cofactors`` from the steps since the previous
     copy, so the unit and quotients of the result need only the steps since
-    the last one.  Each step's scalar a / c is tracked exactly, which gives
-    the remainder with unit(0) = 1.
+    the last one.  Each step's scalar a / c is tracked exactly, as a
+    running integer pair, which gives the remainder with unit(0) = 1.
     """
     n = f.n
     _check_variables((f, *basis), order)
@@ -154,11 +145,11 @@ def weak_normal_form(
     # at t = 1 the work is lam * (base.poly - what the steps took off), lam
     # the product of their a / c, and scale * base.poly is the division's
     # value at base: the subject until the first self-inclusion, then the
-    # latest self-included work
+    # latest self-included work; both are (num, den) pairs in lowest terms
     base = reducers.pop()
     scale = contents[-1]
     work = dict(base.poly)
-    lam = Fraction(1)
+    lam = (1, 1)
     steps = []
     done = 0
     while work:
@@ -173,11 +164,12 @@ def weak_normal_form(
         t = min(divisors, key=lambda r: r.lead & mask)
         k = (t.lead & mask) - (lead & mask)
         if k > 0:
-            cof = _cofactors(steps, packing, -lam, [(lam, 0, base)]) if certificates else None
+            neg = (-lam[0], lam[1])
+            cof = _cofactors(steps, packing, neg, [(lam, 0, base)]) if certificates else None
             base = _HElement(work, packing, cof)
             reducers.append(base)
-            scale /= lam
-            lam = Fraction(1)
+            scale = _lowest(scale[0] * lam[1], scale[1] * lam[0])
+            lam = (1, 1)
             steps = []
             # _fit repacks the copy with the reducers; the work is a shifted copy
             packing = _fit(packing, reducers, packing.grade(lead) + k)
@@ -191,7 +183,7 @@ def weak_normal_form(
             if tmin:
                 work = {e - tmin: v for e, v in work.items()}
         if a != c:
-            lam *= Fraction(a, c)
+            lam = _lowest(lam[0] * a, lam[1] * c)
         if certificates:
             steps.append((t, m, a, b, c))
         done += 1
@@ -200,12 +192,12 @@ def weak_normal_form(
         if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
 
-    factor = scale / lam
-    remainder = _raw(n, {packing.xpart(e): v * factor for e, v in work.items()})
+    num, den = _lowest(scale[0] * lam[1], scale[1] * lam[0])
+    remainder = _over(n, den, [(packing.xpart(e), v * num) for e, v in work.items()])
     if not certificates:
         return NormalFormResult(remainder, None, None)
     # the combination of -remainder = sum_i Q_i * basis_i - unit * f
-    cof = _cofactors(steps, packing, scale, [(-scale, 0, base)])
+    cof = _cofactors(steps, packing, scale, [((-scale[0], scale[1]), 0, base)])
     *quotients, unit = _cofactor_polys(n, cof, len(basis) + 1)
     return NormalFormResult(remainder, -unit, quotients)
 
@@ -293,8 +285,9 @@ def becker_check(
             # the s-series is scale * work at grading variable 1: the packed
             # elements are the true ones divided by their contents, and the
             # s-pair is divided by its own content c
-            scale = contents[i] * contents[j] * (helems[j].lc // a) * c
-            s = _raw(n, {packing.xpart(e): scale * v for e, v in work.items()})
+            (ni, di), (nj, dj) = contents[i], contents[j]
+            scale = _lowest(ni * nj * (helems[j].lc // a) * c, di * dj)
+            s = _over(n, scale[1], [(packing.xpart(e), scale[0] * v) for e, v in work.items()])
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
@@ -310,9 +303,11 @@ def becker_check(
             xpart = min(work) >> bits
             xguard = packing.guard >> bits
             if all((xpart - (b.lead >> bits)) & xguard for b in helems):
-                lam = prod(Fraction(a, c) for _, _, a, _, c in steps)
-                witness = Poly(n, [(packing.xpart(e), v) for e, v in work.items()])
-                return BeckerResult(False, reps, (i, j, witness.scale(scale / lam)))
+                # the witness is scale / lam * work at grading variable 1
+                lnum, lden = _ratio(steps)
+                num, den = _lowest(scale[0] * lden, scale[1] * lnum)
+                witness = _over(n, den, [(packing.xpart(e), v * num) for e, v in work.items()])
+                return BeckerResult(False, reps, (i, j, witness))
             nf = weak_normal_form(s, basis, order, limits)
             if not nf.remainder.is_zero:
                 return BeckerResult(False, reps, (i, j, nf.remainder))
@@ -595,9 +590,9 @@ def _homogenize(polys, order: LocalOrder):
     Pads each term with a grading variable so every term reaches the top
     weight of its polynomial, and strips the rational content c, so each
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
-    With c = num / den, f's coefficients times den are ints divisible by num.
-    Returns (packing, elements, contents); the packing is sized for the
-    largest top weight.
+    c is the pair (num, den): den the lcm of f's denominators, num the gcd
+    of den * f on ints (``_integral``), which is that of f's numerators.
+    Returns (packing, elements, contents), the packing sized for the top weights.
     """
     form = order.form
     tops = [max(form.weight(e) for e in f.exponents()) for f in polys]
@@ -606,14 +601,11 @@ def _homogenize(polys, order: LocalOrder):
     elems = []
     contents = []
     for k, (f, top) in enumerate(zip(polys, tops)):
-        content = _content(f)
-        num, den = content.numerator, content.denominator
-        poly = {
-            packing.pack((*e, top - form.weight(e))): c.numerator * (den // c.denominator) // num
-            for e, c in f.items()
-        }
+        den, terms = _integral(f)
+        num = gcd(*[v for _, v in terms])
+        poly = {packing.pack((*e, top - form.weight(e))): v // num for e, v in terms}
         elems.append(_HElement(poly, packing, (num, {k: {origin: den}})))
-        contents.append(content)
+        contents.append((num, den))
     return packing, elems, contents
 
 
@@ -756,8 +748,7 @@ def _reduced_cone(n: int, packing: _Packing, rows, limits: ResourceLimits) -> tu
     cone = []
     for f in forms:
         work, _ = _hreduce(f.poly, [g for g in forms if g is not f], packing, limits)
-        lc = work[f.lead]
-        cone.append(_raw(n, {packing.xpart(k): Fraction(c, lc) for k, c in work.items()}))
+        cone.append(_over(n, work[f.lead], zip(map(packing.xpart, work), work.values())))
     return tuple(cone)
 
 
@@ -775,15 +766,14 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     sum of coeff * x^m * elem.poly over the (coeff, packed m, elem) triples
     of ``start``, summed from the elements' own cofactors.  Evaluating the
     grading variable at 1 is a ring map, so only the x-part of each m counts.
-    ``scale`` and the coefficients of ``start`` are ints or Fractions; each
-    step's coefficient and the running scale are integer pairs (num, den),
-    den > 0, cut to lowest terms by one gcd as they are made, so no
-    Fraction is built.  The sum runs on ints over one common denominator,
-    which is then cut to the least one, the size the reduced Fractions
-    would have.
+    ``scale`` and the coefficients of ``start`` are integer pairs
+    (num, den) in lowest terms with den > 0, as ``_lowest`` makes them;
+    each step's coefficient and the running scale are such pairs too, cut
+    by one gcd as they are made.  The sum runs on ints over one common
+    denominator, which is then cut to the least one.
     """
-    terms = [(coeff.numerator, coeff.denominator, m, elem) for coeff, m, elem in start]
-    snum, sden = scale.numerator, scale.denominator
+    terms = [(p, q, m, elem) for (p, q), m, elem in start]
+    snum, sden = scale
     for t, m, a, b, c in steps:
         # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
         terms.append((*_lowest(snum * b, sden * a), m, t))
@@ -809,14 +799,19 @@ def _lowest(p: int, q: int) -> tuple:
     return p // g, q // g
 
 
+def _ratio(steps) -> tuple:
+    """lam, the product of a / c over steps (t, m, a, b, c), as a ``_lowest`` pair."""
+    num = den = 1
+    for _, _, a, _, c in steps:
+        if a != c:
+            num, den = _lowest(num * a, den * c)
+    return num, den
+
+
 def _cofactor_polys(n: int, cof, count: int, lc: int = 1) -> list:
     """The ``count`` polynomials cof[k] / (den * lc) of a (den, parts) pair."""
     den, parts = cof
-    den *= lc
-    return [
-        _raw(n, {e: Fraction(v, den) for e, v in parts.get(k, {}).items()})
-        for k in range(count)
-    ]
+    return [_over(n, den * lc, parts.get(k, {}).items()) for k in range(count)]
 
 
 def _complete(
@@ -924,12 +919,12 @@ def _complete(
         if certificates:
             # the new element is lam * (s-pair - sum_r beta_r ...), see
             # _cofactors, and the s-pair is (a * bi - b * bj) / c
-            lam = prod(Fraction(sa, sc) for _, _, sa, _, sc in steps)
+            lnum, lden = _ratio(steps)
             start = [
-                (Fraction(a, c) * lam, gamma - bi.lead, bi),
-                (Fraction(-b, c) * lam, gamma - bj.lead, bj),
+                (_lowest(a * lnum, c * lden), gamma - bi.lead, bi),
+                (_lowest(-b * lnum, c * lden), gamma - bj.lead, bj),
             ]
-            cof = _cofactors(steps, packing, -lam, start)
+            cof = _cofactors(steps, packing, (-lnum, lden), start)
         basis.append(_HElement(sp, packing, cof))
         push_pairs(len(basis) - 1)
 
@@ -959,8 +954,7 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
     for b in elems:
         # the graded lead is the local initial term, so lc is its coefficient;
         # weight(x) + t is constant on b, so the x-parts are distinct
-        lc = b.lc
-        p = _raw(n, {packing.xpart(e): Fraction(v, lc) for e, v in b.poly.items()})
+        p = _over(n, b.lc, zip(map(packing.xpart, b.poly), b.poly.values()))
         # a repeat has the same initial exponent, so only those are compared
         twins = seen.setdefault(b.lm[:n], [])
         if p in twins:
@@ -968,7 +962,7 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
         twins.append(p)
         out_basis.append(p)
         if certified:
-            out_certs.append(tuple(_cofactor_polys(n, b.cof, count, lc)))
+            out_certs.append(tuple(_cofactor_polys(n, b.cof, count, b.lc)))
     return tuple(out_basis), tuple(out_certs) if certified else None
 
 
@@ -1073,19 +1067,15 @@ def _echelon_diagram(generators, order: LocalOrder):
 
 
 def standard_basis_complete(
-    ideal: IdealPresentation,
-    order: LocalOrder,
-    limits: ResourceLimits = DEFAULT_LIMITS,
-    certificates: bool = False,
+    ideal: IdealPresentation, order: LocalOrder, limits: ResourceLimits = DEFAULT_LIMITS
 ):
     """Completed standard basis of the ideal for the given order.
 
-    Combination certificates over the original generators are available
-    through ``ideal.completion(order, certificates=True)``; they are skipped
-    here unless requested because their bookkeeping dominates on adversarial
-    inputs while every verdict needs only the basis itself.
+    Certificates over the generators come from ``ideal.completion(order,
+    certificates=True)``; this completion builds none, as their bookkeeping
+    dominates on adversarial inputs while every verdict needs only the basis.
     """
-    return list(ideal.completion(order, limits, certificates).basis)
+    return list(ideal.completion(order, limits, certificates=False).basis)
 
 
 def diagram_of_ideal(

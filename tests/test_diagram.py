@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from germlab import (
+    DimensionMismatchError,
     Diagram,
     PositiveLinearForm,
     complement_count,
@@ -10,8 +11,10 @@ from germlab import (
     diagrams_equal_up_to,
     has_axis_vertices,
     hilbert_samuel,
+    invert_matrix,
     product_structure,
     staircase_dimension,
+    parse_poly,
     vertices_from_exponents,
 )
 from germlab.seeding import make_rng
@@ -236,3 +239,44 @@ def test_staircase_dimension_is_the_hilbert_samuel_degree():
         for _ in range(dim):
             values = [b - a for a, b in zip(values, values[1:])]
         assert values[-1] == values[-2] > 0, d
+
+
+_D = Diagram(2, {(1, 0)})
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(
+            lambda: parse_poly("x1 + x2^2", 2).mul_term(3, (1,)),
+            DimensionMismatchError,
+            id="mul_term-short",
+        ),
+        pytest.param(
+            lambda: parse_poly("x1 + x2^2", 2).mul_term(3, (1, -2)),
+            ValueError,
+            id="mul_term-negative",
+        ),
+        pytest.param(lambda: _D.member((1,)), DimensionMismatchError, id="member-short"),
+        pytest.param(
+            lambda: _D.contains(Diagram(3, {(1, 0, 5)})), DimensionMismatchError, id="contains"
+        ),
+        pytest.param(
+            lambda: _D.max_vertex_weight(PositiveLinearForm((1, 2, 3))),
+            DimensionMismatchError,
+            id="max_vertex_weight",
+        ),
+        pytest.param(
+            lambda: diagrams_equal_up_to(_D, _D, PositiveLinearForm((1, 2, 3)), 4),
+            DimensionMismatchError,
+            id="diagrams_equal_up_to",
+        ),
+        pytest.param(lambda: invert_matrix([[1, 2]]), DimensionMismatchError, id="invert_matrix"),
+    ],
+)
+def test_size_and_sign_mismatches_are_refused(call, error):
+    # a wrong size is a DimensionMismatchError, a negative exponent a plain
+    # ValueError; neither gives an answer
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is error

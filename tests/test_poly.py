@@ -20,7 +20,7 @@ from germlab import (
     jet_truncate,
     parse_poly,
 )
-from germlab.poly import exact_det
+from germlab.poly import _integral, _over, exact_det
 from germlab.seeding import make_rng
 
 
@@ -271,3 +271,23 @@ def test_sums_keep_the_term_by_term_order():
         cancelled += len(deleted)
     # sums reached zero, and cancelled exponents came back at the end
     assert cancelled and reentered
+
+
+def test_integers_in_and_out_round_trip_in_order():
+    rng = make_rng("poly-integral")
+    dens = set()
+    for trial in range(300):
+        n = 1 + trial % 3
+        f = Poly(n, {
+            tuple(rng.randint(0, 3) for _ in range(n)):
+                Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 35]))
+            for _ in range(rng.randint(0, 6))
+        })
+        den, pairs = _integral(f)
+        assert all(isinstance(v, int) and v for _, v in pairs)
+        dens.add(den)
+        for back in (_over(n, den, pairs), _over(n, -den, [(e, -v) for e, v in pairs])):
+            assert back == f
+            assert list(back.items()) == list(f.items())
+            assert all(type(c) is Fraction for _, c in back.items())
+    assert 1 in dens and len(dens) > 5
