@@ -37,6 +37,8 @@ class Diagram:
         for v in self.vertices:
             if len(v) != self.n:
                 raise ValueError(f"vertex {v} in a diagram on {self.n} coordinates")
+            if any(not isinstance(b, int) or b < 0 for b in v):
+                raise ValueError(f"vertex {v} is not in N^{self.n}")
         object.__setattr__(self, "vertices", _minimal_elements(self.vertices))
 
     @property
@@ -47,6 +49,8 @@ class Diagram:
         exponent = tuple(exponent)
         if len(exponent) != self.n:
             raise DimensionMismatchError(f"exponent {exponent} in a diagram on {self.n}")
+        if min(exponent, default=0) < 0:
+            raise ValueError(f"exponent {exponent} is not in N^{self.n}")
         return any(exp_divides(v, exponent) for v in self.vertices)
 
     def sorted_vertices(self):

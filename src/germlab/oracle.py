@@ -21,11 +21,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 
 from .diagram import HilbertSamuelTable
 from .errors import DimensionMismatchError
 from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, exp_add, weighted_box
+from .poly import _integral
 from .standard_basis import IdealPresentation
 
 # truncated_echelon's summaries, {(order, eta): summary} per presentation;
@@ -68,9 +69,9 @@ def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
     eta, index = tb.eta, tb.index
     rows = []
     for gen in ideal.generators:
-        terms = sorted(gen.items(), key=lambda t: tb.order.key(t[0]))
-        scale = lcm(*(c.denominator for _, c in terms))
-        int_terms = [(e, form.weight(e), c.numerator * (scale // c.denominator)) for e, c in terms]
+        # the stored numerators are gen times its least common denominator
+        terms = sorted(_integral(gen)[1].items(), key=lambda t: tb.order.key(t[0]))
+        int_terms = [(e, form.weight(e), c) for e, c in terms]
         top = eta - min(w for _, w, _ in int_terms)
         for alpha, wa in zip(tb.monomials, tb.weights):
             if wa > top:

@@ -1,21 +1,26 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a finite map from exponent tuples to nonzero Fractions.
-Values are immutable after construction and every operation is a pure
-function, so instances can be shared freely between workers.  Floating
-point never appears: staircase and flatness verdicts downstream are
-discrete and must be exact.  Storage stays Fraction-valued, but
-arithmetic runs on integers, with one conversion each way: ``_integral``
-brings a polynomial over the lcm of its denominators, and ``_over``
-builds one from integer numerators over one denominator.  Products,
-re-expansion checks and linear changes run on integers in between.
+A polynomial is stored as integer numerators over one denominator: a
+map from exponent tuples to nonzero ints and a ``den >= 1``, kept
+canonical (``gcd(den, *numerators) == 1``, and ``den == 1`` for zero), so
+equality and hashing compare the stored fields.  Values are immutable
+after construction and every operation is a pure function, so instances
+can be shared freely between workers.  Floating point never appears:
+staircase and flatness verdicts downstream are discrete and must be
+exact.  Arithmetic runs on the stored integers: ``_integral`` reads the
+stored pair, ``_over`` builds a polynomial from integer numerators over
+any nonzero denominator, and every result, sums and products included,
+is cut to the canonical form by one gcd in ``_canonical``.  Fractions
+are built only where a coefficient is handed out, by ``items()``,
+``coeff()`` and ``constant_term()``; the constructor and ``parse_poly``
+convert once on the way in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import (
@@ -45,9 +50,10 @@ def _exponent(exp, n: int) -> tuple:
 
 
 class Poly:
-    """Polynomial in ``n`` variables, stored as {exponent tuple: Fraction}."""
+    """Polynomial in ``n`` variables, stored as {exponent tuple: int} over
+    one denominator."""
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_den", "_num", "_hash")
 
     def __init__(self, n: int, terms=None):
         if n < 1:
@@ -56,12 +62,17 @@ class Poly:
         if terms:
             for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
                 exp = _exponent(exp, n)
-                c = _as_fraction(coeff)
-                if c:
-                    checked.append((exp, c))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", _add_into({}, checked))
-        object.__setattr__(self, "_hash", None)
+                if isinstance(coeff, int):  # no Fraction for an int
+                    p, q = coeff, 1
+                else:
+                    c = _as_fraction(coeff)
+                    p, q = c.numerator, c.denominator
+                if p:
+                    checked.append((exp, p, q))
+        den, num = _from_ratios(checked)
+        _SET_N(self, n)
+        _SET_DEN(self, den)
+        _SET_NUM(self, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -74,53 +85,55 @@ class Poly:
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {(0,) * n: _as_fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def monomial(cls, n: int, exponent, coeff=1) -> "Poly":
-        return cls(n, {tuple(exponent): _as_fraction(coeff)})
+        return cls(n, {tuple(exponent): coeff})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         """The variable x_{i+1} (0-based index i)."""
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {exp: Fraction(1)})
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} outside 0..{n - 1}")
+        return cls(n, {tuple(int(j == i) for j in range(n)): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
-    def items(self):
-        """Read-only view of (exponent, coefficient) pairs."""
-        return self._terms.items()
+    def items(self) -> list:
+        """(exponent, Fraction coefficient) pairs in term order."""
+        den = self._den
+        return [(e, Fraction(v, den)) for e, v in self._num.items()]
 
     def exponents(self):
-        return self._terms.keys()
+        return self._num.keys()
 
     def coeff(self, exponent) -> Fraction:
-        return self._terms.get(tuple(exponent), Fraction(0))
+        return Fraction(self._num.get(_exponent(exponent, self.n), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.n, Fraction(0))
+        return Fraction(self._num.get((0,) * self.n, 0), self._den)
 
     def total_degree(self) -> int:
         """Max total degree of the support; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._num)
 
     def min_total_degree(self) -> int:
-        if not self._terms:
+        if not self._num:
             return -1
-        return min(sum(e) for e in self._terms)
+        return min(sum(e) for e in self._num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -132,22 +145,20 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_n(other)
-        return _raw(self.n, _add_into(dict(self._terms), other._terms.items()))
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same_n(other)
-        negated = [(e, -c) for e, c in other._terms.items()]
-        return _raw(self.n, _add_into(dict(self._terms), negated))
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        return _raw(self.n, {e: -c for e, c in self._terms.items()})
+        return _raw(self.n, self._den, {e: -v for e, v in self._num.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_same_n(other)
-        den, num = _products([(self, other)])
-        return _over(self.n, den, num.items())
+        return _raw(self.n, *_canonical(*_products([(self, other)])))
 
     __rmul__ = __mul__
 
@@ -155,7 +166,10 @@ class Poly:
         c = _as_fraction(c)
         if not c:
             return Poly.zero(self.n)
-        return _raw(self.n, {e: c * v for e, v in self._terms.items()})
+        p = c.numerator
+        return _over(
+            self.n, self._den * c.denominator, [(e, p * v) for e, v in self._num.items()]
+        )
 
     def mul_term(self, coeff, exponent) -> "Poly":
         """Multiply by the single term coeff * x^exponent."""
@@ -163,7 +177,12 @@ class Poly:
         c = _as_fraction(coeff)
         if not c:
             return Poly.zero(self.n)
-        return _raw(self.n, {exp_add(e, exponent): c * v for e, v in self._terms.items()})
+        p = c.numerator
+        return _over(
+            self.n,
+            self._den * c.denominator,
+            [(exp_add(e, exponent), p * v) for e, v in self._num.items()],
+        )
 
     # -- equality ----------------------------------------------------------
 
@@ -171,15 +190,17 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.n == other.n
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:  # first call: the slot starts unset
+            h = hash((self.n, self._den, frozenset(self._num.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -193,31 +214,67 @@ def _products(pairs):
 
     Returns (den, num): the sum is num[e] / den at each exponent e, num
     holds no zero, and den is a common denominator, not always the least.
-    Each operand is brought over the lcm of its denominators once
-    (``_integral``), so the double loop multiplies ints only.
+    Each operand's stored numerators are read as they are, so the double
+    loop multiplies ints only.
     """
-    operands = [(*_integral(p), *_integral(q)) for p, q in pairs]
+    operands = [(p._den, p._num, q._den, q._num) for p, q in pairs]
     den = lcm(*[dp * dq for dp, _, dq, _ in operands])
     num: dict = {}
     for dp, left, dq, right in operands:
+        left = left.items()
         if dp * dq != den:
             left = [(e, v * (den // (dp * dq))) for e, v in left]
-        _mul_into(num, left, right)
+        _mul_into(num, left, right.items())
     return den, num
 
 
 def _integral(p: Poly) -> tuple:
-    """(d, [(exponent, int c * d)]) for d the lcm of p's denominators."""
-    terms = p._terms
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+    """(den, {exponent: int}): p's stored numerators over its denominator,
+    the least common one.  The mapping is p's own; callers only read it."""
+    return p._den, p._num
 
 
 def _over(n: int, den: int, pairs) -> Poly:
-    """The polynomial of v / den over (exponent, nonzero int v) pairs."""
-    if den == 1:  # Fraction(v) skips the gcd of Fraction(v, 1)
-        return _raw(n, {e: Fraction(v) for e, v in pairs})
-    return _raw(n, {e: Fraction(v, den) for e, v in pairs})
+    """The polynomial of v / den over (exponent, nonzero int v) pairs, for
+    any nonzero den, cut to the canonical form by one gcd."""
+    num = dict(pairs)
+    if den != 1:
+        den, num = _canonical(den, num)
+    return _raw(n, den, num)
+
+
+def _canonical(den: int, num: dict) -> tuple:
+    """(den, num) divided by gcd(den, *num.values()) and signed so that
+    den >= 1; num itself is returned when nothing divides it."""
+    if den == 1 or not num:
+        return 1, num
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        num = {e: v // g for e, v in num.items()}
+    return den, num
+
+
+def _from_ratios(terms) -> tuple:
+    """The canonical (den, num) of the sum of p/q * x^e over (e, p, q)
+    triples with p != 0 and q > 0: every term is brought over the lcm of
+    the q and the numerators are added by ``_add_into``, so the terms come
+    out in the order of the Fraction sum.  The constructor and
+    ``parse_poly`` convert their input here, once."""
+    den = lcm(*[q for _, _, q in terms])
+    return _canonical(den, _add_into({}, [(e, p * (den // q)) for e, p, q in terms]))
+
+
+def _sum(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q over the lcm of the two denominators."""
+    dp, dq = p._den, q._den
+    den = dp if dp == dq else lcm(dp, dq)
+    kp, kq = den // dp, (den // dq) * sign
+    acc = dict(p._num) if kp == 1 else {e: v * kp for e, v in p._num.items()}
+    terms = q._num.items() if kq == 1 else [(e, v * kq) for e, v in q._num.items()]
+    return _raw(p.n, *_canonical(den, _add_into(acc, terms)))
 
 
 def _add_into(acc: dict, terms) -> dict:
@@ -264,12 +321,16 @@ def _mul_into(num: dict, left, right) -> dict:
     return num
 
 
-def _raw(n: int, terms: dict) -> Poly:
-    """Internal constructor for already-normalized term dicts."""
+# the slots' own setters, past Poly.__setattr__, which refuses every write
+_SET_N, _SET_DEN, _SET_NUM = Poly.n.__set__, Poly._den.__set__, Poly._num.__set__
+
+
+def _raw(n: int, den: int, num: dict) -> Poly:
+    """Internal constructor for numerators already in canonical form."""
     p = Poly.__new__(Poly)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_hash", None)
+    _SET_N(p, n)
+    _SET_DEN(p, den)
+    _SET_NUM(p, num)
     return p
 
 
@@ -302,7 +363,7 @@ def initial_form(f: Poly) -> Poly:
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no initial form")
     d = f.min_total_degree()
-    return _raw(f.n, {e: c for e, c in f.items() if sum(e) == d})
+    return _over(f.n, f._den, [(e, v) for e, v in f._num.items() if sum(e) == d])
 
 
 @dataclass(frozen=True)
@@ -322,7 +383,7 @@ def jet_truncate(f: Poly, ctx: JetContext) -> Poly:
     form = ctx.order.form
     if f.n != form.n:
         raise DimensionMismatchError(f"polynomial on {f.n} variables, form on {form.n}")
-    return _raw(f.n, {e: c for e, c in f.items() if form.weight(e) <= ctx.mu})
+    return _over(f.n, f._den, [(e, v) for e, v in f._num.items() if form.weight(e) <= ctx.mu])
 
 
 # -- exact matrices and linear coordinate changes ----------------------------
@@ -395,10 +456,11 @@ def apply_linear_change(f: Poly, M) -> Poly:
     M must be invertible (checked by exact determinant), so the total degree
     and the lowest homogeneous degree are preserved.  The expansion runs on
     integer numerators: M is brought over the lcm D of its entries'
-    denominators and f over the lcm of its own, each term of f of degree d
-    is scaled by D^(deg f - d) so that all terms share one denominator, and
-    one Fraction is built per output term.  Products and sums follow the
-    term-by-term Fraction expansion, so the terms come out in its order.
+    denominators and f's stored numerators are read as they are, each term
+    of f of degree d is scaled by D^(deg f - d) so that all terms share one
+    denominator, and the result is cut to its canonical form once.  Products
+    and sums follow the term-by-term Fraction expansion, so the terms come
+    out in its order.
     """
     n = f.n
     den, a = _integer_matrix(_matrix_rows(M, n))
@@ -413,7 +475,7 @@ def apply_linear_change(f: Poly, M) -> Poly:
     zero = (0,) * n
     powers = [[[(zero, 1)]] for _ in range(n)]
     result: dict = {}
-    for exp, c in terms:
+    for exp, c in terms.items():
         term = [(zero, c * den ** (top - sum(exp)))]
         for i, e in enumerate(exp):
             if e:
@@ -443,9 +505,10 @@ def format_poly(f: Poly) -> str:
     if f.is_zero:
         return "0"
     pieces = []
-    for exp, c in sorted(f.items(), key=_forward_degree):
-        num, den = c.numerator, c.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    d = f._den
+    for exp, num in sorted(f._num.items(), key=_forward_degree):
+        g = gcd(num, d)
+        mag = str(abs(num) // g) if g == d else f"{abs(num) // g}/{d // g}"
         mono = _format_monomial(exp)
         if not mono:
             body = mag
@@ -461,7 +524,7 @@ def format_poly(f: Poly) -> str:
 
 
 def _forward_degree(item):
-    """Sort key of an (exponent, coefficient) pair under the forward degree
+    """Sort key of an (exponent, numerator) pair under the forward degree
     order: total degree, then the exponent itself."""
     exp = item[0]
     return sum(exp), exp

@@ -23,9 +23,11 @@ all reduce through one kernel, ``_submul``, on integer polynomials
 homogenized with a grading variable t (Lazard's view of Mora's algorithm).
 The kernel also divides the integer content out of each result, so every
 element the engine keeps or reduces is integer-primitive and coefficients
-stay at Gaussian-elimination size.  Coefficients enter through
-``poly._integral`` and leave through ``poly._over``; in between, contents
-and step scalars are reduced integer pairs (num, den), never Fractions.
+stay at Gaussian-elimination size.  A ``Poly`` stores integer numerators
+over one denominator, so coefficients enter by a read of that pair
+(``poly._integral``) and leave through ``poly._over``, which cuts a result
+to the stored form by one gcd; no Fraction is built on either side, and in
+between contents and step scalars are reduced integer pairs (num, den).
 With the common power of t divided out, a polynomial's ecart is the
 t-exponent of its homogenized lead, and adjoining the current polynomial
 followed by a shift by t^k is what lets a reducer of larger ecart divide
@@ -270,6 +272,7 @@ def becker_check(
     if any(g.is_zero for g in basis):
         raise ZeroPolynomialError("basis elements must be nonzero")
     packing, helems, contents = _homogenize(basis, order)
+    one = Poly.constant(n, 1)  # the unit of every unit-free representation
 
     reps = []
     for i in range(len(basis)):
@@ -294,7 +297,7 @@ def becker_check(
                 cof = _cofactors(steps, packing, scale)
                 quotients = _cofactor_polys(n, cof, len(basis))
                 reps.append(
-                    (i, j, StandardRepresentation(s, quotients, Poly.constant(n, 1)))
+                    (i, j, StandardRepresentation(s, quotients, one))
                 )
                 continue
             # the grading variable is the lowest field: shifting it out
@@ -590,8 +593,9 @@ def _homogenize(polys, order: LocalOrder):
     Pads each term with a grading variable so every term reaches the top
     weight of its polynomial, and strips the rational content c, so each
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
-    c is the pair (num, den): den the lcm of f's denominators, num the gcd
-    of den * f on ints (``_integral``), which is that of f's numerators.
+    c is the pair (num, den): den f's stored denominator, the lcm of its
+    coefficients' denominators, and num the gcd of its stored numerators
+    (``_integral``).
     Returns (packing, elements, contents), the packing sized for the top weights.
     """
     form = order.form
@@ -602,8 +606,8 @@ def _homogenize(polys, order: LocalOrder):
     contents = []
     for k, (f, top) in enumerate(zip(polys, tops)):
         den, terms = _integral(f)
-        num = gcd(*[v for _, v in terms])
-        poly = {packing.pack((*e, top - form.weight(e))): v // num for e, v in terms}
+        num = gcd(*terms.values())
+        poly = {packing.pack((*e, top - form.weight(e))): v // num for e, v in terms.items()}
         elems.append(_HElement(poly, packing, (num, {k: {origin: den}})))
         contents.append((num, den))
     return packing, elems, contents

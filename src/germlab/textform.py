@@ -9,10 +9,9 @@ printer lives in :mod:`germlab.poly`; parse/print round-trips are exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly, _add_into, _raw
+from .poly import Poly, _from_ratios, _raw
 
 # One token: an optional operator, then a factor, whitespace around both.
 # Digits are ASCII only ('²' and '٣' pass str.isdigit); \s matches exactly
@@ -110,9 +109,7 @@ def parse_poly(text: str, n: int) -> Poly:
             at = _after_space(text, m.end(1))
             raise _error(text, f"unexpected character {text[at]!r}", at)
         if p:
-            if negative:
-                p = -p
-            terms.append((tuple(exp), Fraction(p) if q == 1 else Fraction(p, q)))
+            terms.append((tuple(exp), -p if negative else p, q))
         if not op:
             break
-    return _raw(n, _add_into({}, terms))
+    return _raw(n, *_from_ratios(terms))

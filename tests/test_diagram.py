@@ -280,3 +280,18 @@ def test_size_and_sign_mismatches_are_refused(call, error):
     with pytest.raises(ValueError) as raised:
         call()
     assert raised.type is error
+
+
+def test_exponents_off_the_lattice_are_refused():
+    # vertices and members live in N^n: a negative entry used to build a
+    # diagram containing (1, 0) and (5, -1), and to make member answer
+    with pytest.raises(ValueError):
+        Diagram(2, {(1, -1)})
+    with pytest.raises(ValueError):
+        Diagram(2, {(1, 0.5)})
+    with pytest.raises(ValueError):
+        Diagram(2, {(1, 0)}).member((5, -1))
+    with pytest.raises(ValueError):
+        Diagram(2, {(1, 0)}).member((1, -3))
+    assert Diagram(2, {(1, 0)}).member((1, 3))
+    assert not Diagram(2, {(1, 0)}).member((0, 3))

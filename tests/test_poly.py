@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from germlab import (
     REVERSE,
     JetContext,
     LocalOrder,
+    DimensionMismatchError,
     Poly,
     PositiveLinearForm,
     SingularMatrixError,
@@ -283,7 +285,8 @@ def test_integers_in_and_out_round_trip_in_order():
                 Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 35]))
             for _ in range(rng.randint(0, 6))
         })
-        den, pairs = _integral(f)
+        den, terms = _integral(f)
+        pairs = list(terms.items())
         assert all(isinstance(v, int) and v for _, v in pairs)
         dens.add(den)
         for back in (_over(n, den, pairs), _over(n, -den, [(e, -v) for e, v in pairs])):
@@ -291,3 +294,103 @@ def test_integers_in_and_out_round_trip_in_order():
             assert list(back.items()) == list(f.items())
             assert all(type(c) is Fraction for _, c in back.items())
     assert 1 in dens and len(dens) > 5
+
+
+def test_variable_index_outside_the_ring_is_refused():
+    assert Poly.variable(2, 1) == p("x2")
+    for i in (2, 5, -1):
+        with pytest.raises(ValueError):
+            Poly.variable(2, i)
+
+
+def test_coeff_checks_the_exponent_length():
+    f = Poly(2, {(1, 0): 1})
+    assert f.coeff((1, 0)) == 1 and f.coeff((0, 1)) == 0
+    with pytest.raises(DimensionMismatchError):
+        f.coeff((1,))
+    with pytest.raises(DimensionMismatchError):
+        f.coeff((1, 0, 0))
+
+
+def _assert_canonical(f):
+    den, num = _integral(f)
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in num.values())
+    assert gcd(den, *num.values()) == 1
+    assert num or den == 1
+
+
+def _model_scale(a: dict, c, shift=None) -> dict:
+    if shift is None:
+        return {e: c * v for e, v in a.items()}
+    return {tuple(x + y for x, y in zip(e, shift)): c * v for e, v in a.items()}
+
+
+def _drawn(rng, n):
+    """A Poly from repeated exponents, ints and Fractions with shared
+    factors, and its Fraction-dict model."""
+    pairs = []
+    for _ in range(rng.randint(0, 5)):
+        exp = tuple(rng.randint(0, 2) for _ in range(n))
+        num, den = rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9, 12])
+        pairs.append((exp, Fraction(num, den) if den > 1 or rng.random() < 0.5 else num))
+    model = {}
+    for e, c in pairs:
+        if c:
+            model = _plus(model, {e: Fraction(c)}, [])
+    return Poly(n, pairs), model
+
+
+def test_every_route_gives_the_canonical_form_in_the_fraction_order():
+    rng = make_rng("poly-canonical")
+    seen = 0
+    for trial in range(300):
+        n = 1 + trial % 3
+        (a, ma), (b, mb) = _drawn(rng, n), _drawn(rng, n)
+        c = Fraction(rng.choice([-4, -2, 2, 3, 6]), rng.choice([1, 2, 3, 4]))
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        order = degree_order(n, FORWARD)
+        routes = [
+            (a, ma),
+            (a + b, _plus(ma, mb, [])),
+            (a - b, _plus(ma, {e: -v for e, v in mb.items()}, [])),
+            (-a, {e: -v for e, v in ma.items()}),
+            (a * b, _times(ma, mb, [])),
+            (a.scale(c), _model_scale(ma, c)),
+            (a.mul_term(c, m), _model_scale(ma, c, m)),
+            (jet_truncate(a, JetContext(order, 2)), {e: v for e, v in ma.items() if sum(e) <= 2}),
+        ]
+        if a:
+            low = a.min_total_degree()
+            routes.append((initial_form(a), {e: v for e, v in ma.items() if sum(e) == low}))
+        M = [
+            [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 6])) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if exact_det(M):
+            changed = dict(_linear_change_by_terms(a, M, []).items())
+            routes.append((apply_linear_change(a, M), changed))
+        den, num = _integral(a)
+        k = rng.choice([2, 6, 10])
+        scaled = [(e, k * v) for e, v in num.items()]
+        routes.append((_over(n, k * den, scaled), ma))
+        routes.append((_over(n, -k * den, [(e, -v) for e, v in scaled]), ma))
+        for got, want in routes:
+            _assert_canonical(got)
+            assert list(got.items()) == list(want.items())
+            seen += _integral(got)[0] > 1
+        # equal values reached in another insertion order hash equal
+        assert b + a == a + b and hash(b + a) == hash(a + b)
+        assert _over(n, k * den, scaled) == a and hash(_over(n, k * den, scaled)) == hash(a)
+    text = p("2/4*x1 - 6/8*x2^2 - 3/6*x1 + 0/5*x2 + 1/2*x1")
+    _assert_canonical(text)
+    assert list(text.items()) == [((0, 2), Fraction(-3, 4)), ((1, 0), Fraction(1, 2))]
+    assert _integral(p("4/2*x1 + 6/3*x2")) == (1, {(1, 0): 2, (0, 1): 2})
+    assert _integral(p("3/4*x1 - 3/4*x1")) == (1, {})
+    assert seen
+
+
+def test_integral_reads_the_stored_pair():
+    f = p("1/2*x1^2 - 2/3*x1*x2 + 5")
+    first, second = _integral(f), _integral(f)
+    assert first[1] is second[1] and first == second == (6, {(2, 0): 3, (1, 1): -4, (0, 0): 30})
