@@ -2,9 +2,9 @@
 
 One job file describes one command.  Exit codes: 0 on success, 1 on a
 mathematical rejection (e.g. a non-flat map handed to determinacy-order, or
-a failed oracle cross-check), 2 on parse, resource or internal errors.  All
-randomness comes from seeds in the job file, so re-running a job or a suite
-reproduces its reports byte for byte.
+a failed oracle cross-check), 2 on parse, io, resource or internal errors.
+All randomness comes from seeds in the job file, so re-running a job or a
+suite reproduces its reports byte for byte.
 """
 
 from __future__ import annotations
@@ -311,6 +311,12 @@ def _parse_failure(envelope: dict, message: str, line=None, column=None):
     return envelope, 2
 
 
+def _io_failure(envelope: dict, message: str):
+    """Exit-2 report or aggregate for a file or directory that cannot be used."""
+    envelope.update(status="error", error={"kind": "io", "message": message})
+    return envelope, 2
+
+
 def _envelope() -> dict:
     """The fields every report and suite aggregate starts with."""
     return {"schema_version": SCHEMA_VERSION, "tool": "germlab", "version": __version__}
@@ -327,8 +333,7 @@ def run_job(path, limits: ResourceLimits | None = None):
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        envelope.update(status="error", error={"kind": "io", "message": str(exc)})
-        return envelope, 2
+        return _io_failure(envelope, str(exc))
     except UnicodeDecodeError as exc:
         return _parse_failure(
             envelope, f"job file is not UTF-8: {exc.reason} at byte {exc.start}"
@@ -434,17 +439,21 @@ def run_suite(directory, out_dir=None, limits: ResourceLimits | None = None):
     directory = Path(directory)
     aggregate = _envelope()
     if not directory.is_dir():
-        error = {"kind": "io", "message": f"not a directory: {directory}"}
-        aggregate.update(status="error", error=error)
-        return aggregate, 2
+        return _io_failure(aggregate, f"not a directory: {directory}")
     out = Path(out_dir) if out_dir is not None else directory / "reports"
     jobs = sorted(p for p in directory.glob("*.json") if p.is_file())
     entries = []
     worst = 0
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _io_failure(aggregate, str(exc))
     for path in jobs:
         report, code = run_job(path, limits)
-        (out / f"{path.stem}.report.json").write_text(_dump(report) + "\n", encoding="utf-8")
+        try:
+            (out / f"{path.stem}.report.json").write_text(_dump(report) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _io_failure(aggregate, str(exc))
         entries.append({"job": path.name, "status": report["status"], "exit_code": code})
         worst = max(worst, 1 if code else 0)
     aggregate.update(

@@ -7,13 +7,15 @@ equality and hashing compare the stored fields.  Values are immutable
 after construction and every operation is a pure function, so instances
 can be shared freely between workers.  Floating point never appears:
 staircase and flatness verdicts downstream are discrete and must be
-exact.  Arithmetic runs on the stored integers: ``_integral`` reads the
-stored pair, ``_over`` builds a polynomial from integer numerators over
-any nonzero denominator, and every result, sums and products included,
-is cut to the canonical form by one gcd in ``_canonical``.  Fractions
-are built only where a coefficient is handed out, by ``items()``,
-``coeff()`` and ``constant_term()``; the constructor and ``parse_poly``
-convert once on the way in.
+exact.  Numbers from outside, coefficients, scalars and matrix entries,
+enter as integer pairs through ``_pair``, and arithmetic runs on the
+stored integers: ``_over`` builds a polynomial from integer numerators
+over any nonzero denominator, cut to the canonical form by one gcd in
+``_canonical``.  One fraction-free elimination, ``_eliminate``, gives a
+matrix's determinant, the singularity check of a coordinate change and
+the inverse.  Fractions are built only for values handed out: by
+``items()``, ``coeff()``, ``constant_term()``, ``exact_det`` and
+``invert_matrix``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from .errors import (
 from .orders import LocalOrder, exp_add
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _pair(c) -> tuple:
+    """(numerator, denominator >= 1) of an int or a Fraction: the one way
+    a number from outside enters a polynomial or a matrix."""
     if isinstance(c, int):
-        return Fraction(c)
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
@@ -62,11 +66,7 @@ class Poly:
         if terms:
             for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
                 exp = _exponent(exp, n)
-                if isinstance(coeff, int):  # no Fraction for an int
-                    p, q = coeff, 1
-                else:
-                    c = _as_fraction(coeff)
-                    p, q = c.numerator, c.denominator
+                p, q = _pair(coeff)
                 if p:
                     checked.append((exp, p, q))
         den, num = _from_ratios(checked)
@@ -144,18 +144,16 @@ class Poly:
             )
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_same_n(other)
         return _sum(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_same_n(other)
         return _sum(self, other, -1)
 
     def __neg__(self) -> "Poly":
         return _raw(self.n, self._den, {e: -v for e, v in self._num.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check_same_n(other)
         return _raw(self.n, *_canonical(*_products([(self, other)])))
@@ -163,25 +161,16 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
-        if not c:
-            return Poly.zero(self.n)
-        p = c.numerator
-        return _over(
-            self.n, self._den * c.denominator, [(e, p * v) for e, v in self._num.items()]
-        )
+        return self.mul_term(c, (0,) * self.n)
 
     def mul_term(self, coeff, exponent) -> "Poly":
         """Multiply by the single term coeff * x^exponent."""
         exponent = _exponent(exponent, self.n)
-        c = _as_fraction(coeff)
-        if not c:
+        p, q = _pair(coeff)
+        if not p:
             return Poly.zero(self.n)
-        p = c.numerator
         return _over(
-            self.n,
-            self._den * c.denominator,
-            [(exp_add(e, exponent), p * v) for e, v in self._num.items()],
+            self.n, self._den * q, [(exp_add(e, exponent), p * v) for e, v in self._num.items()]
         )
 
     # -- equality ----------------------------------------------------------
@@ -267,8 +256,12 @@ def _from_ratios(terms) -> tuple:
     return _canonical(den, _add_into({}, [(e, p * (den // q)) for e, p, q in terms]))
 
 
-def _sum(p: Poly, q: Poly, sign: int) -> Poly:
-    """p + sign * q over the lcm of the two denominators."""
+def _sum(p: Poly, q, sign: int) -> Poly:
+    """p + sign * q over the lcm of the two denominators; NotImplemented
+    when q is not a polynomial."""
+    if not isinstance(q, Poly):
+        return NotImplemented
+    p._check_same_n(q)
     dp, dq = p._den, q._den
     den = dp if dp == dq else lcm(dp, dq)
     kp, kq = den // dp, (den // dq) * sign
@@ -389,71 +382,67 @@ def jet_truncate(f: Poly, ctx: JetContext) -> Poly:
 # -- exact matrices and linear coordinate changes ----------------------------
 
 
-def _matrix_rows(M, n: int):
-    rows = [[_as_fraction(x) for x in row] for row in M]
+def _integer_matrix(M, n: int) -> tuple:
+    """(den, integer rows): M, checked to be n x n, times the lcm den of
+    its entries' denominators."""
+    rows = [[_pair(x) for x in row] for row in M]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatchError(f"expected a {n}x{n} matrix")
-    return rows
+    den = lcm(*[q for row in rows for _, q in row])
+    return den, [[p * (den // q) for p, q in row] for row in rows]
+
+
+def _eliminate(a, b=()) -> tuple:
+    """(det(a), rows of det(a) * a^-1 * b) for a square integer matrix a and
+    integer rows b beside it, by Bareiss's fraction-free elimination: step k
+    sets each entry e of a row i != k to (e * pivot - a[i][k] * a[k][j]) //
+    prev, prev the previous pivot, exact by Sylvester's identity.  With b
+    the steps clear the pivot column above the pivot too (Gauss-Jordan),
+    without only below it.  A singular a gives (0, []); a and b are kept."""
+    n = len(a)
+    rows = [[*row, *extra] for row, extra in zip(a, b or [()] * n)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return 0, []
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        row = rows[k]
+        pivot = row[k]
+        for ri in rows if b else rows[k + 1 :]:
+            if ri is not row:
+                rik = ri[k]
+                for j in range(k + 1, len(ri)):
+                    ri[j] = (ri[j] * pivot - rik * row[j]) // prev
+        prev = pivot
+    # prev = sign * det(a) sits on the diagonal, beside prev * a^-1 * b
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
 
 
 def exact_det(M) -> Fraction:
     """Exact determinant: the matrix is brought over the lcm of its
     denominators and eliminated fraction-free on integers."""
-    den, a = _integer_matrix(_matrix_rows(M, len(M)))
-    return Fraction(_int_det(a), den ** len(a))
-
-
-def _integer_matrix(rows):
-    """(den, integer rows): the Fraction rows times the lcm of their denominators."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
-def _int_det(a) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination; a is consumed."""
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot, row = a[k][k], a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            # exact: every entry of the eliminated minor is divisible by prev
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pivot - aik * row[j]) // prev
-        prev = pivot
-    return sign * prev
+    den, a = _integer_matrix(M, len(M))
+    return Fraction(_eliminate(a)[0], den ** len(a))
 
 
 def invert_matrix(M):
-    """Exact inverse as nested tuples of Fractions."""
-    rows = _matrix_rows(M, len(M))
-    n = len(rows)
-    aug = [rows[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Exact inverse as nested tuples of Fractions: M = a / den, and the
+    elimination beside the identity gives det(a) * a^-1."""
+    n = len(M)
+    den, a = _integer_matrix(M, n)
+    det, adj = _eliminate(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(Fraction(x * den, det) for x in row) for row in adj)
 
 
 def apply_linear_change(f: Poly, M) -> Poly:
     """Substitute x_i -> sum_j M[i][j] * x_j and expand.
 
-    M must be invertible (checked by exact determinant), so the total degree
+    M must be invertible (checked by ``_eliminate``), so the total degree
     and the lowest homogeneous degree are preserved.  The expansion runs on
     integer numerators: M is brought over the lcm D of its entries'
     denominators and f's stored numerators are read as they are, each term
@@ -463,13 +452,13 @@ def apply_linear_change(f: Poly, M) -> Poly:
     out in its order.
     """
     n = f.n
-    den, a = _integer_matrix(_matrix_rows(M, n))
+    den, a = _integer_matrix(M, n)
+    if not _eliminate(a)[0]:
+        raise SingularMatrixError("coordinate change matrix is singular")
     images = [
         [(tuple(1 if j == k else 0 for k in range(n)), c) for j, c in enumerate(row) if c]
         for row in a
     ]
-    if not _int_det(a):
-        raise SingularMatrixError("coordinate change matrix is singular")
     df, terms = _integral(f)
     top = max(map(sum, f.exponents()), default=0)
     zero = (0,) * n

@@ -410,7 +410,7 @@ class IdealPresentation:
             if not isinstance(g, Poly):
                 raise TypeError("generators must be Poly instances")
             if g.n != n:
-                raise ValueError(f"generator on {g.n} variables in an ideal on {n}")
+                raise DimensionMismatchError(f"generator on {g.n} variables in an ideal on {n}")
             if g.is_zero:
                 raise ZeroPolynomialError("generators must be nonzero")
             gens.append(g)
@@ -815,7 +815,8 @@ def _ratio(steps) -> tuple:
 def _cofactor_polys(n: int, cof, count: int, lc: int = 1) -> list:
     """The ``count`` polynomials cof[k] / (den * lc) of a (den, parts) pair."""
     den, parts = cof
-    return [_over(n, den * lc, parts.get(k, {}).items()) for k in range(count)]
+    zero = Poly.zero(n)
+    return [_over(n, den * lc, parts[k].items()) if k in parts else zero for k in range(count)]
 
 
 def _complete(

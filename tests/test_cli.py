@@ -199,6 +199,47 @@ def test_oracle_check_job(tmp_path):
     assert report["result"]["staircase_match"] is True
 
 
+def test_oracle_check_rejection_exit_1(tmp_path, monkeypatch):
+    # an oracle that disagrees with the engine: the report is a rejection
+    monkeypatch.setattr(cli, "oracle_staircase", lambda ideal, order, eta_max: set())
+    path = write_job(
+        tmp_path / "oracle.json",
+        **base_job(ideal=["x1^2-x2^3", "x1*x2"], command="oracle-check", parameters={"eta_max": 4}),
+    )
+    report, code = run_job(path)
+    assert code == 1
+    assert report["status"] == "rejected" and "error" not in report
+    assert report["result"]["staircase_match"] is False
+    assert report["result"]["staircase_size"] == 0
+
+
+def test_cm_certify_job(tmp_path):
+    path = write_job(
+        tmp_path / "cm.json", **base_job(command="cm-certify", parameters={"seed": 3, "l_max": 4})
+    )
+    report, code = run_job(path)
+    assert code == 0 and report["status"] == "ok"
+    result = report["result"]
+    assert result["coordinate_change"] == [[1, 1], [1, 2]]
+    assert (result["dimension"], result["diagram"]) == (1, [[1, 1]])
+    assert result["cm"]["status"] == "certified" and result["cm"]["l"] == 1
+
+
+def test_approx_exp_job(tmp_path):
+    path = write_job(
+        tmp_path / "approx.json",
+        **base_job(
+            map=["x1-x2"], command="approx-exp", parameters={"mu": 2, "trials": 3, "seed": 11}
+        ),
+    )
+    report, code = run_job(path)
+    assert code == 0 and report["status"] == "ok"
+    result = report["result"]
+    assert result["kind"] == "approximation"
+    assert result["all_pass"] is True and result["passes"] == 3
+    assert [trial["trial"] for trial in result["trials"]] == [0, 1, 2]
+
+
 def test_oracle_check_on_1100_variables(tmp_path):
     # the box is an odometer, so no variable count overflows the recursion limit
     n = 1100
@@ -268,6 +309,26 @@ def test_suite_on_a_missing_directory_reports_in_the_envelope(tmp_path, capsys):
     assert run_suite(missing) == (expected, 2)
     assert main(["suite", str(missing)]) == 2
     assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_suite_whose_reports_cannot_be_written_exits_2(tmp_path, capsys):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    write_job(jobs / "good.json", **base_job())
+    # the report directory is a regular file
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    aggregate, code = run_suite(jobs, out_dir=taken)
+    assert code == 2 and aggregate["status"] == "error"
+    assert aggregate["error"]["kind"] == "io" and str(taken) in aggregate["error"]["message"]
+    assert main(["suite", str(jobs), "--out", str(taken)]) == 2
+    assert json.loads(capsys.readouterr().out) == aggregate
+    # a report's path is a directory
+    out = tmp_path / "out"
+    (out / "good.report.json").mkdir(parents=True)
+    aggregate, code = run_suite(jobs, out_dir=out)
+    assert code == 2 and aggregate["error"]["kind"] == "io"
+    assert "good.report.json" in aggregate["error"]["message"]
 
 
 def test_suite_mixed(tmp_path):
@@ -461,6 +522,30 @@ def test_structural_error_has_no_position(tmp_path, job):
     assert code == 2
     assert report["error"]["kind"] == "parse"
     assert "line" not in report["error"] and "column" not in report["error"]
+
+
+JOB_ERRORS = {
+    "not-an-object": ([1, 2], "must contain a JSON object"),
+    "variables": (base_job(variables=["x1", "x3"]), "variables must be the list"),
+    "ordering": (base_job(ordering={"weights": [1, 1], "order": "lex"}), "ordering must be"),
+    "tiebreak": (base_job(ordering={"weights": [1, 1], "tiebreak": "lex"}), "tiebreak must be"),
+    "parameters": (base_job(parameters=[1]), "parameters must be an object"),
+    "ideal2-unused": (base_job(ideal2=["x1"]), "ideal2 is only meaningful"),
+    "ideal2-missing": (base_job(command="cones-equal"), "cones-equal requires ideal2"),
+    "map-missing": (base_job(command="flat-check", parameters={"seed": 1}), "requires a map"),
+    "ideal-type": (base_job(ideal="x1*x2"), "ideal must be a list of polynomial strings"),
+    "zero-generator": (base_job(ideal=["x1 - x1"]), "ideal[0] is the zero polynomial"),
+}
+
+
+@pytest.mark.parametrize("content, message", JOB_ERRORS.values(), ids=JOB_ERRORS)
+def test_job_validation_errors_exit_2(tmp_path, content, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    report, code = run_job(path)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"]["kind"] == "parse"
+    assert message in report["error"]["message"]
 
 
 LATIN1_JOB = b'{"variables": ["x1"], "command": "diagram", "ideal": ["x1\xe9"]}'

@@ -5,6 +5,8 @@ import pytest
 from germlab import (
     DimensionMismatchError,
     Diagram,
+    IdealPresentation,
+    Poly,
     PositiveLinearForm,
     complement_count,
     degree_form,
@@ -272,6 +274,11 @@ _D = Diagram(2, {(1, 0)})
             id="diagrams_equal_up_to",
         ),
         pytest.param(lambda: invert_matrix([[1, 2]]), DimensionMismatchError, id="invert_matrix"),
+        pytest.param(
+            lambda: IdealPresentation(2, [Poly.variable(3, 0)]),
+            DimensionMismatchError,
+            id="IdealPresentation",
+        ),
     ],
 )
 def test_size_and_sign_mismatches_are_refused(call, error):

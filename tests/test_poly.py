@@ -154,12 +154,73 @@ def test_apply_linear_change_against_sympy():
 
 
 def test_invert_matrix_roundtrip():
+    import sympy
+
     M = [[2, 1], [1, 1]]
     Minv = invert_matrix(M)
     f = p("x1^2 - x2^3 + x1*x2")
     assert apply_linear_change(apply_linear_change(f, M), Minv) == f
     with pytest.raises(SingularMatrixError):
         invert_matrix([[1, 2], [2, 4]])
+    # exact_det and invert_matrix against sympy on random int and Fraction
+    # matrices up to 5x5, some singular and some needing a row swap
+    rng = make_rng("invert-matrix")
+
+    def entry():
+        if rng.random() < 0.6:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    singular = swapped = 0
+    for trial in range(90):
+        n = trial % 6
+        M = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 4 == 1:
+            M[0][0] = 0
+        if n > 1 and trial % 5 == 2:
+            M[-1] = list(M[0])
+        S = sympy.Matrix(n, n, [sympy.Rational(x) for row in M for x in row])
+        det = exact_det(M)
+        assert type(det) is Fraction and det == Fraction(str(S.det()))
+        if not det:
+            singular += 1
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                invert_matrix(M)
+            continue
+        swapped += n > 1 and M[0][0] == 0
+        inverse = invert_matrix(M)
+        expected = S.inv()
+        assert type(inverse) is tuple and all(type(row) is tuple for row in inverse)
+        assert [[type(x) for x in row] for row in inverse] == [[Fraction] * n] * n
+        assert inverse == tuple(
+            tuple(Fraction(str(expected[i, j])) for j in range(n)) for i in range(n)
+        )
+    assert singular and swapped
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda f: f + 3, lambda f: 3 + f, lambda f: f - None, lambda f: None - f],
+    ids=["poly+int", "int+poly", "poly-None", "None-poly"],
+)
+def test_sum_with_a_non_polynomial_is_a_type_error(op):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(p("x1 + x2"))
+
+
+@pytest.mark.parametrize(
+    "op, name",
+    [
+        (lambda f: f * 1.5, "float"),
+        (lambda f: 1.5 * f, "float"),
+        (lambda f: f * None, "NoneType"),
+        (lambda f: f * "2", "str"),
+    ],
+    ids=["poly*float", "float*poly", "poly*None", "poly*str"],
+)
+def test_product_with_a_non_number_names_its_type(op, name):
+    with pytest.raises(TypeError, match=f"^coefficients must be int or Fraction, got {name}$"):
+        op(p("x1 + x2"))
 
 
 def test_degree_helpers():

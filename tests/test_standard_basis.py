@@ -113,6 +113,34 @@ def test_weak_normal_form_unit_constant_term_one():
         )
 
 
+def test_weak_normal_form_of_zero_without_certificates():
+    nf = weak_normal_form(Poly.zero(2), [p("x1^2 - x2^3")], REV, certificates=False)
+    assert nf.remainder.is_zero and nf.unit is None and nf.quotients is None
+
+
+def test_weak_normal_form_rejects_a_zero_basis_element():
+    with pytest.raises(ZeroPolynomialError):
+        weak_normal_form(p("x1^2"), [p("x1"), Poly.zero(2)], REV)
+
+
+@pytest.mark.parametrize("certificates", [True, False])
+def test_weak_normal_form_stops_at_its_bounds(certificates):
+    # three steps take x1^2*x2 + x1^3 to x2^4 + x2^5; one step takes
+    # x1^2*x2 to a work of two terms
+    f, basis = p("x1^2*x2 + x1^3"), [p("x1^2 - x2^3"), p("x1*x2 - x2^3")]
+    with pytest.raises(ResourceLimitError) as info:
+        weak_normal_form(f, basis, REV, ResourceLimits(max_reductions=2), certificates)
+    assert (info.value.bound, info.value.limit) == ("max_reductions", 2)
+    nf = weak_normal_form(f, basis, REV, ResourceLimits(max_reductions=3), certificates)
+    assert nf.remainder == p("x2^4 + x2^5")
+    f, basis = p("x1^2*x2"), [p("x1^2 - x2^3 - x2^4")]
+    with pytest.raises(ResourceLimitError) as info:
+        weak_normal_form(f, basis, REV, ResourceLimits(max_terms=1), certificates)
+    assert (info.value.bound, info.value.limit) == ("max_terms", 1)
+    nf = weak_normal_form(f, basis, REV, ResourceLimits(max_terms=2), certificates)
+    assert nf.remainder == p("x2^4 + x2^5")
+
+
 def test_weak_normal_form_self_inclusion_widens_the_packing(monkeypatch):
     # the work joins the reducers, and its shift by a power of the grading
     # variable outgrows the packing sized for the inputs
