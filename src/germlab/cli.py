@@ -72,7 +72,6 @@ COMMANDS = (
 )
 
 _TOP_FIELDS = {"variables", "ordering", "ideal", "ideal2", "map", "command", "parameters"}
-_PARAM_FIELDS = {"eta_max", "mu", "l_max", "trials", "seed", "tail_degree_max", "coefficient_range"}
 # smallest admissible value per bounded parameter (seed is any integer)
 _PARAM_MINIMUM = {
     "eta_max": 0,
@@ -82,6 +81,7 @@ _PARAM_MINIMUM = {
     "tail_degree_max": 0,
     "coefficient_range": 1,
 }
+_PARAM_FIELDS = set(_PARAM_MINIMUM) | {"seed"}
 _SEEDED = {"dim", "cm-certify", "flat-check", "determinacy-order", "determinacy-exp", "approx-exp"}
 _NEEDS_MAP = {"flat-check", "determinacy-order", "determinacy-exp", "approx-exp"}
 
@@ -279,7 +279,7 @@ def _execute(job: Job, limits: ResourceLimits) -> dict:
             "staircase_size": len(stair_oracle),
         }
         if all(w == 1 for w in job.order.form.weights):
-            d = diagram_of_ideal(ideal, degree_order(job.n, job.order.tiebreak), limits)
+            # job.order is then the degree order, so d is its diagram
             hs_engine = hilbert_samuel(d, eta_max)
             hs_oracle = oracle_hs(ideal, eta_max)
             result["hs"] = hs_engine.to_list()

@@ -25,20 +25,21 @@ The kernel also divides the integer content out of each result, so every
 element the engine keeps or reduces is integer-primitive and coefficients
 stay at Gaussian-elimination size.  A ``Poly`` stores integer numerators
 over one denominator, so coefficients enter by a read of that pair
-(``poly._integral``) and leave through ``poly._over``, which cuts a result
-to the stored form by one gcd; no Fraction is built on either side, and in
-between contents and step scalars are reduced integer pairs (num, den).
-With the common power of t divided out, a polynomial's ecart is the
-t-exponent of its homogenized lead, and adjoining the current polynomial
-followed by a shift by t^k is what lets a reducer of larger ecart divide
-it.
+(``poly._integral``) and leave at t = 1 through ``_Packing.poly``, which
+cuts a result to the stored form by one gcd; no Fraction is built on
+either side, and in between contents and step scalars are reduced integer
+pairs (num, den).  With the common power of t divided out, a polynomial's
+ecart is the t-exponent of its homogenized lead, and adjoining the current
+polynomial followed by a shift by t^k is what lets a reducer of larger
+ecart divide it.
 
 Diagrams of zero-dimensional ideals need no completion: the same kernel
 top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
 cover a window of weights, and the minimal pivots are the diagram.
-Either engine leaves one element per vertex, whose lowest-weight parts,
-reduced against each other, are the reduced basis of the tangent cone, so
-an ideal the echelon settles needs no completion for its cone either.
+Both engines give the cache (diagram, packing, rows), one row per vertex,
+whose lowest-weight parts, reduced against each other, are the reduced
+basis of the tangent cone, so an ideal the echelon settles needs no
+completion for its cone either.
 """
 
 from __future__ import annotations
@@ -155,12 +156,9 @@ def weak_normal_form(
     steps = []
     done = 0
     while work:
-        # t is the lowest field: shifting it out leaves the x-part
-        bits, mask = packing.bits, packing.max_grade
-        xguard = packing.guard >> bits
+        mask = packing.max_grade
         lead = min(work)
-        xlead = lead >> bits
-        divisors = [r for r in reducers if not (xlead - (r.lead >> bits)) & xguard]
+        divisors = [r for r in reducers if packing.xdivides(r.lead, lead)]
         if not divisors:
             break
         t = min(divisors, key=lambda r: r.lead & mask)
@@ -175,15 +173,11 @@ def weak_normal_form(
             steps = []
             # _fit repacks the copy with the reducers; the work is a shifted copy
             packing = _fit(packing, reducers, packing.grade(lead) + k)
-            mask = packing.max_grade
             work = {e + k: v for e, v in base.poly.items()}
             lead = base.lead + k
         m = lead - t.lead
         a, b, c = _submul(work, t.lc, work[lead], m, t.poly)
-        if work:
-            tmin = min(e & mask for e in work)
-            if tmin:
-                work = {e - tmin: v for e, v in work.items()}
+        work = packing.strip_t(work)
         if a != c:
             lam = _lowest(lam[0] * a, lam[1] * c)
         if certificates:
@@ -194,8 +188,7 @@ def weak_normal_form(
         if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
 
-    num, den = _lowest(scale[0] * lam[1], scale[1] * lam[0])
-    remainder = _over(n, den, [(packing.xpart(e), v * num) for e, v in work.items()])
+    remainder = packing.poly(work, *_lowest(scale[0] * lam[1], scale[1] * lam[0]))
     if not certificates:
         return NormalFormResult(remainder, None, None)
     # the combination of -remainder = sum_i Q_i * basis_i - unit * f
@@ -290,7 +283,7 @@ def becker_check(
             # s-pair is divided by its own content c
             (ni, di), (nj, dj) = contents[i], contents[j]
             scale = _lowest(ni * nj * (helems[j].lc // a) * c, di * dj)
-            s = _over(n, scale[1], [(packing.xpart(e), scale[0] * v) for e, v in work.items()])
+            s = packing.poly(work, *scale)
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
@@ -300,16 +293,11 @@ def becker_check(
                     (i, j, StandardRepresentation(s, quotients, one))
                 )
                 continue
-            # the grading variable is the lowest field: shifting it out
-            # leaves the x-part, with weight(x) as the top field
-            bits = packing.bits
-            xpart = min(work) >> bits
-            xguard = packing.guard >> bits
-            if all((xpart - (b.lead >> bits)) & xguard for b in helems):
+            lead = min(work)
+            if not any(packing.xdivides(b.lead, lead) for b in helems):
                 # the witness is scale / lam * work at grading variable 1
                 lnum, lden = _ratio(steps)
-                num, den = _lowest(scale[0] * lden, scale[1] * lnum)
-                witness = _over(n, den, [(packing.xpart(e), v * num) for e, v in work.items()])
+                witness = packing.poly(work, *_lowest(scale[0] * lden, scale[1] * lnum))
                 return BeckerResult(False, reps, (i, j, witness))
             nf = weak_normal_form(s, basis, order, limits)
             if not nf.remainder.is_zero:
@@ -385,23 +373,25 @@ class IdealPresentation:
     An empty generator list represents the zero ideal.  Each cache entry
     holds a ``CompletionResult``, the diagram, whether the result carries
     certificates, and one packed element of the ideal per vertex with its
-    packing.  The diagram is read off the completion's graded leads, or,
-    when ``diagram`` meets an empty entry, certified without any
-    completion by the truncated echelon of ``_echelon_diagram`` (the
-    zero-dimensional ideals it can settle).  The per-vertex elements give
-    the tangent cone's reduced basis (``_cone``), whichever engine made the
+    packing; both engines hand the entry the same (diagram, packing, rows).
+    A verdict-only miss is certified without any completion by the
+    truncated echelon of ``_echelon_diagram`` when it can (the
+    zero-dimensional ideals it settles), else the verdict-only completion
+    runs and the diagram is read off its graded leads; a request for
+    certificates always completes.  The per-vertex elements give the
+    tangent cone's reduced basis (``_cone``), whichever engine made the
     entry, so an echelon-certified ideal needs no completion for its cone.
     The result builds its dehomogenized basis on first read, completing
     then if the echelon stood in for the completion, so a caller that only
     asks for diagrams never pays for a basis, and for an echelon-certified
     diagram not for a completion either.  A presentation completes at most
     once per order (twice when certificates are asked of a verdict-only
-    entry) and reduces its cone once per order.  ``diagram`` still goes
-    through ``completion``, so every diagram is one ``completion`` call,
-    whoever asks for it.  Certifying, completing, building and reducing run
-    under one lock, each once per entry, so concurrent readers are safe; a
-    cached verdict-only entry is replaced by a certified one when
-    certificates are requested later.
+    entry) and reduces its cone once per order.  ``diagram`` goes through
+    ``completion``, so every diagram is one ``completion`` call, whoever
+    asks for it, and the echelon runs inside that call.  Certifying,
+    completing, building and reducing run under one lock, each once per
+    entry, so concurrent readers are safe; a cached verdict-only entry is
+    replaced by a certified one when certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -430,20 +420,19 @@ class IdealPresentation:
             self.n, list(self.generators) + [g for g in extra if not g.is_zero]
         )
 
-    def _entry(
-        self, order: LocalOrder, limits: ResourceLimits, certificates: bool, echelon: bool = False
-    ):
+    def _entry(self, order: LocalOrder, limits: ResourceLimits, certificates: bool):
         """The cache entry (result, diagram, certified, packing, rows) of
-        ``order``, completing when there is none or when certificates are
-        asked of a verdict-only one.  The result's basis is left to its
-        first read.  ``rows`` holds one packed element of the ideal per
-        vertex, led by it: the echelon's vertex rows, or the first kept
-        graded element of the completion whose lead's x-part is the vertex.
+        ``order``, made when there is none or when certificates are asked
+        of a verdict-only one.  The result's basis is left to its first
+        read.  ``rows`` holds one packed element of the ideal per vertex,
+        led by it, as both engines give it: the echelon's vertex rows, or
+        the first kept graded element of the completion whose lead's x-part
+        is the vertex.
 
-        With ``echelon`` (verdict-only calls) a missing entry first tries
-        ``_echelon_diagram``; when that certifies the diagram, the entry
-        holds it, and the result runs the completion too on its first read,
-        under these ``limits``.
+        A verdict-only miss tries ``_echelon_diagram`` first; when that
+        certifies the diagram, the entry holds it, and the result runs the
+        completion on its first read, under these ``limits``.  A request
+        for certificates goes straight to ``_complete``.
         """
         if order.n != self.n:
             raise DimensionMismatchError(
@@ -453,20 +442,13 @@ class IdealPresentation:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
                 gens, n = self.generators, self.n
-                certified = _echelon_diagram(gens, order) if echelon else None
-                done = None
-                if certified is None:
-                    done = _complete(gens, order, limits, certificates)
-                    packing, elems, diagram = done
-                    # reversed, so the first kept element led by a vertex wins
-                    firsts = {b.lm[:n]: b.poly for b in reversed(elems)}
-                    rows = [firsts[v] for v in diagram.vertices]
-                else:
-                    diagram, packing, rows = certified
+                certified = None if certificates else _echelon_diagram(gens, order)
+                done = None if certified else _complete(gens, order, limits, certificates)
+                diagram, packing, rows = certified or done[:3]
 
                 def build():
-                    packing, elems, _ = done or _complete(gens, order, limits, certificates)
-                    return _completion_result(n, len(gens), packing, elems, certificates)
+                    _, packing, _, kept = done or _complete(gens, order, limits, certificates)
+                    return _completion_result(n, len(gens), packing, kept, certificates)
 
                 result = CompletionResult._deferred(build, self._lock)
                 got = self._cache[order] = (result, diagram, certificates, packing, rows)
@@ -485,30 +467,29 @@ class IdealPresentation:
     ) -> Diagram:
         """Diagram of initial exponents of the ideal under ``order``.
 
-        A cached entry answers at once.  On a miss the truncated echelon of
-        ``_echelon_diagram`` is tried first; when it gives no answer the
-        verdict-only completion runs and the diagram is read off its graded
-        leads.  Either way the call also goes through ``completion``, which
-        then finds the entry cached.
+        The call goes through ``completion`` first, verdict-only, so every
+        diagram is one ``completion`` call, whoever asks for it; on a miss
+        that call tries the truncated echelon of ``_echelon_diagram``, and
+        when it gives no answer the verdict-only completion runs.  The
+        diagram is then read off the cached entry.
         """
-        diagram = self._entry(order, limits, False, echelon=True)[1]
         self.completion(order, limits, certificates=False)
-        return diagram
+        return self._entry(order, limits, False)[1]
 
     def _cone(self, order: LocalOrder, limits: ResourceLimits) -> tuple:
         """The reduced Groebner basis of the tangent cone for the degree
         ``order``, ascending by lead, reduced once and cached per order.
 
-        The entry comes by the path of ``diagram``, the echelon first, and
+        The entry comes by the verdict-only path, the echelon first, and
         ``_reduced_cone`` turns its per-vertex elements into the basis,
         which depends only on the ideal and the order: not on the engine
         that made the entry, the generators given or the calls before.
         """
-        _, _, _, packing, rows = self._entry(order, limits, False, echelon=True)
+        _, _, _, packing, rows = self._entry(order, limits, False)
         with self._lock:
             cone = self._cones.get(order)
             if cone is None:
-                cone = self._cones[order] = _reduced_cone(self.n, packing, rows, limits)
+                cone = self._cones[order] = _reduced_cone(packing, rows, limits)
             return cone
 
 
@@ -525,7 +506,9 @@ class _Packing:
     addition, and a divides b exactly when b - a sets no guard bit.  Both
     hold while every field stays below its guard, which every monomial of
     grade at most ``max_grade`` does; ``_fit`` widens the fields before any
-    work in a higher grade.
+    work in a higher grade.  t is the lowest field, so dividing by t^k is an
+    int subtraction and shifting t out leaves the x-part.  The methods read
+    this layout; only the hot loops test ``guard`` inline.
     """
 
     __slots__ = ("order", "n", "bits", "max_grade", "guard", "shifts", "wshift", "mults")
@@ -560,6 +543,22 @@ class _Packing:
     def grade(self, key) -> int:
         """weight(x) + t, read off the top and bottom fields."""
         return (key >> self.wshift) + (key & self.max_grade)
+
+    def poly(self, work: dict, num: int = 1, den: int = 1) -> Poly:
+        """num / den times a homogeneous packed dict at t = 1, as a ``Poly``."""
+        values = work.values() if num == 1 else [v * num for v in work.values()]
+        return _over(self.n, den, zip(map(self.xpart, work), values))
+
+    def strip_t(self, work: dict) -> dict:
+        """work divided by the highest power of t that divides every term."""
+        mask = self.max_grade
+        tmin = min((e & mask for e in work), default=0)
+        return {e - tmin: v for e, v in work.items()} if tmin else work
+
+    def xdivides(self, a: int, b: int) -> bool:
+        """Whether the x-part of a divides that of b, whatever their t."""
+        bits = self.bits
+        return not ((b >> bits) - (a >> bits)) & (self.guard >> bits)
 
 
 class _HElement:
@@ -717,16 +716,10 @@ def _hreduce(work, reducers, packing: _Packing, limits: ResourceLimits):
             raise ResourceLimitError("max_reductions", limits.max_reductions)
         if len(work) > limits.max_terms:
             raise ResourceLimitError("max_terms", limits.max_terms)
-    if work:
-        # t is the lowest field: dividing by t^tmin is an int subtraction
-        mask = packing.max_grade
-        tmin = min(e & mask for e in work)
-        if tmin:
-            work = {e - tmin: v for e, v in work.items()}
-    return work, steps
+    return packing.strip_t(work), steps
 
 
-def _reduced_cone(n: int, packing: _Packing, rows, limits: ResourceLimits) -> tuple:
+def _reduced_cone(packing: _Packing, rows, limits: ResourceLimits) -> tuple:
     """The reduced Groebner basis of the tangent cone, ascending by lead,
     from one packed element of the ideal per vertex of its degree-order
     diagram, each led by its vertex.
@@ -752,7 +745,7 @@ def _reduced_cone(n: int, packing: _Packing, rows, limits: ResourceLimits) -> tu
     cone = []
     for f in forms:
         work, _ = _hreduce(f.poly, [g for g in forms if g is not f], packing, limits)
-        cone.append(_over(n, work[f.lead], zip(map(packing.xpart, work), work.values())))
+        cone.append(packing.poly(work, 1, work[f.lead]))
     return tuple(cone)
 
 
@@ -833,16 +826,18 @@ def _complete(
     deterministic function of (generators, order).  Each s-pair reduces
     against the active elements, those whose leads no later lead divides,
     in the order they became active: ``active`` is the reducer set.
-    Returns (packing, elements, diagram): the kept graded elements (the
-    surviving graded basis with the original generators alongside), each
-    carrying its cofactors over the original generators when certificates
-    are requested, and the diagram of their leads.  Nothing is
-    dehomogenized here; ``_completion_result`` does that on the first read
-    of the cached result's basis.
+    Returns (diagram, packing, rows, kept): ``kept`` are the kept graded
+    elements (the surviving graded basis with the original generators
+    alongside), each carrying its cofactors over the original generators
+    when certificates are requested, ``diagram`` is the diagram of their
+    leads, and ``rows``, as from ``_echelon_diagram``, holds per vertex the
+    poly of the first kept element whose lead's x-part is the vertex.
+    Nothing is dehomogenized here; ``_completion_result`` does that on the
+    first read of the cached result's basis.
     """
     n = order.n
     if not generators:
-        return None, [], Diagram(n)
+        return Diagram(n), None, [], []
 
     packing, basis, _ = _homogenize(generators, order)
 
@@ -940,7 +935,9 @@ def _complete(
     kept = [basis[k] for k in sorted(set(active) | set(range(len(generators))))]
     # the x-part of a graded lead is the local initial exponent of its element
     diagram = vertices_from_exponents([b.lm[:n] for b in kept], n)
-    return packing, kept, diagram
+    # reversed, so the first kept element led by a vertex wins
+    firsts = {b.lm[:n]: b.poly for b in reversed(kept)}
+    return diagram, packing, [firsts[v] for v in diagram.vertices], kept
 
 
 def _completion_result(n: int, count: int, packing: _Packing, elems, certified: bool):
@@ -957,9 +954,8 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
     out_certs = []
     seen: dict = {}  # initial exponent -> the polynomials kept with it
     for b in elems:
-        # the graded lead is the local initial term, so lc is its coefficient;
-        # weight(x) + t is constant on b, so the x-parts are distinct
-        p = _over(n, b.lc, zip(map(packing.xpart, b.poly), b.poly.values()))
+        # the graded lead is the local initial term, so lc is its coefficient
+        p = packing.poly(b.poly, 1, b.lc)
         # a repeat has the same initial exponent, so only those are compared
         twins = seen.setdefault(b.lm[:n], [])
         if p in twins:

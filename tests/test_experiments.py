@@ -162,9 +162,9 @@ def test_each_cone_is_reduced_once(monkeypatch, experiment):
     reduced = []
     original = standard_basis._reduced_cone
 
-    def counting(n, packing, rows, limits):
+    def counting(packing, rows, limits):
         reduced.append(rows)  # kept alive, so no two ids coincide
-        return original(n, packing, rows, limits)
+        return original(packing, rows, limits)
 
     monkeypatch.setattr(standard_basis, "_reduced_cone", counting)
     I = IdealPresentation(2, [p("x1^2 - x2^3")])

@@ -487,7 +487,7 @@ def test_packing_matches_graded_order_and_divisibility(weights, tiebreak):
         a, b = in_piece(), in_piece()
         assert (packing.pack(a) < packing.pack(b)) == (hkey(a) < hkey(b))
         assert packing.unpack(packing.pack(a)) == a
-    seen = set()
+    seen, xseen = set(), set()
     for _ in range(400):
         a, b = anywhere(), anywhere()
         # half the pairs are a against lcm(a, b): divisible unless too big
@@ -497,7 +497,31 @@ def test_packing_matches_graded_order_and_divisibility(weights, tiebreak):
         assert divides == exp_divides(a, b)
         assert packing.grade(packing.pack(b)) == grade(b)
         seen.add(divides)
+        # the x-part test ignores t: b again with a fresh t
+        c = (*b[:n], rng.randint(0, 12))
+        if grade(c) <= packing.max_grade:
+            xdivides = packing.xdivides(packing.pack(a), packing.pack(c))
+            assert xdivides == exp_divides(a[:n], c[:n])
+            xseen.add((xdivides, a[n] > c[n]))
     assert seen == {True, False}
+    assert {(True, True), (True, False), (False, True), (False, False)} <= xseen
+    # strip_t divides out the least power of t, and leaves t-free dicts alone
+    for _ in range(100):
+        terms = [anywhere() for _ in range(rng.randint(1, 5))]
+        work = {packing.pack(e): rng.choice((-3, 1, 2)) for e in terms}
+        low = min(e[n] for e in terms)
+        want = {packing.pack((*e[:n], e[n] - low)): work[packing.pack(e)] for e in terms}
+        assert packing.strip_t(work) == want
+        assert packing.strip_t(want) == want
+    assert packing.strip_t({}) == {}
+    # poly of a homogenized element, scaled by its content, is the input
+    for _ in range(100):
+        f = Poly(n, {
+            anywhere()[:n]: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 5))
+        })
+        hpacking, (elem,), [(num, den)] = _homogenize([f], order)
+        assert hpacking.poly(elem.poly, num, den) == f
 
 
 def test_exponents_beyond_32_bits():
@@ -585,7 +609,7 @@ def test_building_a_cone_mutates_no_element(monkeypatch):
 
     def recording(*args):
         done = real(*args)
-        kept.append([(b, dict(b.poly)) for b in done[1]])
+        kept.append([(b, dict(b.poly)) for b in done[3]])
         return done
 
     monkeypatch.setattr(standard_basis, "_complete", recording)
@@ -594,7 +618,7 @@ def test_building_a_cone_mutates_no_element(monkeypatch):
     completed = IdealPresentation(2, [p("x2^2"), p("x2^3 + x1^2*x2")])
     for ideal, cone in ((echelon, [p("x1^2 + x1*x2"), p("x2^2")]),
                         (completed, [p("x2^2"), p("x1^2*x2")])):
-        rows = ideal._entry(REV, DEFAULT_LIMITS, False, echelon=True)[4]
+        rows = ideal._entry(REV, DEFAULT_LIMITS, False)[4]
         before = [dict(row) for row in rows]
         assert tangent_cone_ideal(ideal, REV) == cone
         assert ideal._entry(REV, DEFAULT_LIMITS, False)[4] is rows
@@ -779,7 +803,7 @@ def test_concurrent_first_reads_complete_and_build_once(monkeypatch):
 
 
 def _completed_diagram(ideal, order):
-    return standard_basis._complete(ideal.generators, order, DEFAULT_LIMITS, False)[2]
+    return standard_basis._complete(ideal.generators, order, DEFAULT_LIMITS, False)[0]
 
 
 def test_echelon_diagram_matches_the_completion_on_the_corpus():
@@ -807,7 +831,7 @@ def test_kept_elements_and_vertex_rows_are_integer_primitive_on_the_corpus():
         for weights in ((1,) * n, (2,) + (1,) * (n - 1)):
             for tiebreak in (REVERSE, FORWARD):
                 order = LocalOrder(PositiveLinearForm(weights), tiebreak)
-                _, elems, _ = standard_basis._complete(gens, order, DEFAULT_LIMITS, False)
+                *_, elems = standard_basis._complete(gens, order, DEFAULT_LIMITS, False)
                 polys = [b.poly for b in elems]
                 echelon = standard_basis._echelon_diagram(gens, order)
                 if echelon is not None:
@@ -945,6 +969,54 @@ def test_basis_after_an_echelon_diagram(monkeypatch, order):
     assert rich.basis == basis
     assert _reexpands(rich, gens)
     assert ideal.diagram(order) == d
+
+
+def test_verdict_only_completion_tries_the_echelon_first(monkeypatch):
+    calls = []
+    for name in ("_echelon_diagram", "_complete"):
+        real = getattr(standard_basis, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(standard_basis, name, counting)
+    gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
+    bare = IdealPresentation(2, gens).completion(REV, certificates=False)
+    assert calls == ["_echelon_diagram"]
+    basis = bare.basis
+    assert calls == ["_echelon_diagram", "_complete"]
+    # certificates go straight to the completion
+    rich = IdealPresentation(2, gens).completion(REV, certificates=True)
+    assert calls == ["_echelon_diagram", "_complete", "_complete"]
+    monkeypatch.undo()
+    assert basis == IdealPresentation(2, gens).completion(REV, certificates=False).basis
+    assert rich.basis == basis and _reexpands(rich, gens)
+
+
+def test_diagram_runs_the_echelon_inside_its_completion_call(monkeypatch):
+    open_calls, inside = [], []
+    real_completion = IdealPresentation.completion
+    real_echelon = standard_basis._echelon_diagram
+
+    def completion(self, *args, **kwargs):
+        open_calls.append(args)
+        try:
+            return real_completion(self, *args, **kwargs)
+        finally:
+            open_calls.pop()
+
+    def echelon(*args):
+        inside.append(len(open_calls))
+        return real_echelon(*args)
+
+    monkeypatch.setattr(IdealPresentation, "completion", completion)
+    monkeypatch.setattr(standard_basis, "_echelon_diagram", echelon)
+    ideal = IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2 + x2^4")])
+    d = ideal.diagram(REV)
+    assert inside == [1]
+    # a hit runs no echelon
+    assert ideal.diagram(REV) is d and inside == [1]
 
 
 def test_tangent_cone_runs_no_echelon(monkeypatch):
