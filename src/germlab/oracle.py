@@ -13,13 +13,23 @@ row shifts come from ``orders.weighted_box``, a primitive at the level of
 the order keys it sorts them by, and checked against a brute-force
 enumeration of its own.  One echelon is kept per (presentation, order,
 eta), held weakly by the presentation, so ``oracle_hs`` reads the
-forward-degree echelon ``oracle_staircase`` built for the same eta.
+forward-degree echelon ``oracle_staircase`` built for the same eta.  The
+sorted columns depend on (order, eta) alone, so a small bounded cache
+shares one column box among all presentations.
+
+The elimination skips work that cannot change its answer.  The pivot
+columns are the leads of the row space, whatever order the rows come in,
+so rows are taken by descending lead and fill the high columns first.
+Past the last column without a pivot every column has one, and each
+reduction step raises a row's lead, so a row whose lead lies there
+reduces to zero: it is dropped at once.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -57,6 +67,12 @@ class TruncationBasis:
         )
 
 
+# a few (order, eta) column boxes at a time: oracle-check puts no cap on eta
+@lru_cache(maxsize=16)
+def _columns(order: LocalOrder, eta: int) -> TruncationBasis:
+    return TruncationBasis.build(order, eta)
+
+
 def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
     """Truncated jets of x^alpha * F_i as sparse integer rows.
 
@@ -91,15 +107,28 @@ def _normalize(row: dict) -> dict:
     return row
 
 
-def _echelon(rows) -> dict:
-    """Sparse integer echelon; returns {pivot column: pivot row}."""
+def _echelon(rows, width: int) -> dict:
+    """Sparse integer echelon of rows over columns 0..width-1; returns
+    {pivot column: pivot row}.
+
+    The pivot columns are the leads of the row space and do not depend on
+    the order of the rows; taken by descending lead, the rows fill the high
+    columns first.  Every column past ``free``, the last one without a
+    pivot, has one, and each reduction step raises the lead, so a row whose
+    lead lies past ``free`` reduces to zero and is dropped there.
+    """
     pivots: dict = {}
-    for r in rows:
+    free = width - 1
+    for r in sorted(rows, key=min, reverse=True):
         while r:
             lead = min(r)
+            if lead > free:
+                break
             p = pivots.get(lead)
             if p is None:
                 pivots[lead] = _normalize(r)
+                while free in pivots:
+                    free -= 1
                 break
             a, b = r[lead], p[lead]
             g = gcd(a, b)
@@ -144,8 +173,8 @@ def truncated_echelon(
     memo = _ECHELONS.setdefault(ideal, {})
     summary = memo.get((order, eta))
     if summary is None:
-        tb = TruncationBasis.build(order, eta)
-        pivots = _echelon(_integer_rows(ideal, tb))
+        tb = _columns(order, eta)
+        pivots = _echelon(_integer_rows(ideal, tb), len(tb.monomials))
         summary = memo[(order, eta)] = EchelonSummary(tb, tuple(sorted(pivots)))
     return summary
 

@@ -1,8 +1,9 @@
 import gc
+import random
 import sys
 import threading
 import weakref
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -21,7 +22,7 @@ from germlab import (
     truncated_quotient_dim,
 )
 from germlab import oracle
-from germlab.oracle import TruncationBasis, _integer_rows
+from germlab.oracle import TruncationBasis, _integer_rows, _normalize
 from germlab.orders import exp_add, weighted_box
 
 from _corpus import corpus
@@ -199,3 +200,103 @@ def test_rows_are_the_sorted_box_enumeration(weights, tiebreak):
                 list(r.items()) for r in _box_rows(ideal, tb)
             ], (ideal, eta)
     assert _integer_rows(IdealPresentation(2, []), TruncationBasis.build(order, 5)) == []
+
+
+def _reference_echelon(rows) -> dict:
+    """The echelon as it was before rows were sorted or dropped: rows in the
+    given order, each reduced to the end."""
+    pivots: dict = {}
+    for r in rows:
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = _normalize(r)
+                break
+            a, b = r[lead], p[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {c: b * v for c, v in r.items()}
+            for c, v in p.items():
+                acc = new.get(c, 0) - a * v
+                if acc:
+                    new[c] = acc
+                elif c in new:
+                    del new[c]
+            r = _normalize(new) if new else {}
+    return pivots
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("tiebreak", [FORWARD, REVERSE])
+def test_pivot_columns_match_the_reference_echelon_in_any_row_order(weights, tiebreak):
+    rational = IdealPresentation(
+        2, [p("1/2*x1^2 - 2/3*x2^3"), p("x1*x2 + 3/5*x2^2"), p("x2 - 7/4*x1^3")]
+    )
+    rng = random.Random(f"echelon-{weights}-{tiebreak}")
+    for ideal in [rational, *corpus(n2=12, n3=4)]:
+        order = LocalOrder(PositiveLinearForm(weights + (1,) * (ideal.n - 2)), tiebreak)
+        for eta in range(9):
+            tb = TruncationBasis.build(order, eta)
+            rows = _integer_rows(ideal, tb)
+            expected = sorted(_reference_echelon(rows))
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            for given in (rows, rows[::-1], shuffled):
+                got = oracle._echelon(given, len(tb.monomials))
+                assert sorted(got) == expected, (ideal, order, eta)
+            summary = oracle.truncated_echelon(ideal, order, eta)
+            assert list(summary.pivot_columns) == expected
+
+
+def test_a_row_past_the_last_free_column_is_dropped_partway(monkeypatch):
+    # columns 1, x1, x2, x1^2, x1*x2, x2^2; taken by descending lead,
+    # x2*(x2 + x1*x2) and x1*(x2 + x1*x2) give pivots at x2^2 and x1*x2
+    # (their copies from x2 + x2^2 are dropped on entry) and x2 + x1*x2 one
+    # at x2, so x1^2 is the last free column.  x2 + x2^2 then reduces once,
+    # to x2^2 - x1*x2 with lead x1*x2, past x1^2, and is dropped there
+    # instead of being reduced to zero in two more steps.
+    ideal = IdealPresentation(2, [p("x2 + x1*x2"), p("x2 + x2^2")])
+    order = degree_order(2, REVERSE)
+    tb = TruncationBasis.build(order, 2)
+    expected = _reference_echelon(_integer_rows(ideal, tb))
+    leads = []
+
+    def recording(row):
+        leads.append(tb.monomials[min(row)])
+        return _normalize(row)
+
+    monkeypatch.setattr(oracle, "_normalize", recording)
+    assert oracle_staircase(ideal, order, 2) == {(0, 2), (1, 1), (0, 1)}
+    assert {tb.monomials[c] for c in expected} == {(0, 2), (1, 1), (0, 1)}
+    # three pivots, then the one step of x2 + x2^2
+    assert leads == [(0, 2), (1, 1), (0, 1), (1, 1)]
+
+
+def test_column_boxes_are_built_once_per_order_and_eta(monkeypatch):
+    built = []
+    build = TruncationBasis.build.__func__
+
+    def counting(cls, order, eta):
+        built.append((order, eta))
+        return build(cls, order, eta)
+
+    monkeypatch.setattr(TruncationBasis, "build", classmethod(counting))
+    oracle._columns.cache_clear()
+    gens = [p("x1^2 - x2^3"), p("x1*x2")]
+    first = IdealPresentation(2, gens)
+    second = IdealPresentation(2, [p("x1^3"), p("x2^2 + x1*x2")])
+    orders = [degree_order(2, FORWARD), degree_order(2, REVERSE)]
+    for ideal in (first, second):
+        for order in orders:
+            for eta in (4, 6):
+                oracle_staircase(ideal, order, eta)
+    assert len(built) == 4
+    assert set(built) == {(order, eta) for order in orders for eta in (4, 6)}
+    # an equal order made afresh, on a new presentation, reads the same box
+    again = LocalOrder(PositiveLinearForm((1, 1)), FORWARD)
+    summary = oracle.truncated_echelon(IdealPresentation(2, gens), again, 6)
+    assert len(built) == 4
+    assert summary.basis is oracle.truncated_echelon(second, orders[0], 6).basis
+    maxsize = oracle._columns.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 32
