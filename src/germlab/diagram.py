@@ -10,20 +10,36 @@ Hilbert-Samuel data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, le
 
 from .errors import DimensionMismatchError
-from .orders import PositiveLinearForm, degree_form, exp_divides
+from .orders import PositiveLinearForm
 
 
 def _minimal_elements(exponents):
-    exps = sorted(set(tuple(e) for e in exponents), key=lambda e: (sum(e), e))
+    exps = sorted(set(map(tuple, exponents)), key=lambda e: (sum(e), e))
     kept = []
     for e in exps:
-        if not any(exp_divides(v, e) for v in kept):
+        for v in kept:
+            if all(map(le, v, e)):
+                break
+        else:
             kept.append(e)
     return frozenset(kept)
+
+
+def _in_lattice(exponent) -> bool:
+    """Whether every coordinate is a non-negative int, in C-level passes."""
+    return all(map(isinstance, exponent, repeat(int))) and min(exponent, default=0) >= 0
+
+
+def _degree_weights(n: int) -> tuple:
+    """The weights of the total-degree form on n coordinates, all 1; the
+    form's ValueError when there are none."""
+    if n < 1:
+        raise ValueError("a positive linear form needs at least one weight")
+    return (1,) * n
 
 
 @dataclass(frozen=True)
@@ -37,7 +53,7 @@ class Diagram:
         for v in self.vertices:
             if len(v) != self.n:
                 raise ValueError(f"vertex {v} in a diagram on {self.n} coordinates")
-            if any(not isinstance(b, int) or b < 0 for b in v):
+            if not _in_lattice(v):
                 raise ValueError(f"vertex {v} is not in N^{self.n}")
         object.__setattr__(self, "vertices", _minimal_elements(self.vertices))
 
@@ -49,18 +65,23 @@ class Diagram:
         exponent = tuple(exponent)
         if len(exponent) != self.n:
             raise DimensionMismatchError(f"exponent {exponent} in a diagram on {self.n}")
-        if min(exponent, default=0) < 0:
+        if not _in_lattice(exponent):
             raise ValueError(f"exponent {exponent} is not in N^{self.n}")
-        return any(exp_divides(v, exponent) for v in self.vertices)
+        for v in self.vertices:
+            if all(map(le, v, exponent)):
+                return True
+        return False
 
     def sorted_vertices(self):
         """Vertices as sorted lists of ints, the serialized form."""
         return [list(v) for v in sorted(self.vertices)]
 
     def max_vertex_weight(self, form: PositiveLinearForm | None = None) -> int:
-        """Largest vertex weight; 0 for the empty diagram."""
+        """Largest vertex weight, by default the total degree; 0 for the
+        empty diagram."""
         if form is None:
-            form = degree_form(self.n)
+            _degree_weights(self.n)  # refuses zero coordinates, as the form does
+            return max(map(sum, self.vertices), default=0)
         _check_form(form, self.n)
         return max(map(form.weight, self.vertices), default=0)
 
@@ -151,7 +172,7 @@ def hilbert_samuel(d: Diagram, eta_max: int) -> HilbertSamuelTable:
     """
     if eta_max < 0:
         raise ValueError("eta_max must be >= 0")
-    hist = _complement_histogram(d, degree_form(d.n).weights, eta_max)
+    hist = _complement_histogram(d, _degree_weights(d.n), eta_max)
     return HilbertSamuelTable(tuple(accumulate(hist)))
 
 

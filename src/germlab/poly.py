@@ -81,7 +81,10 @@ class Poly:
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls(n)
+        """The canonical zero, with no pass over terms."""
+        if n < 1:
+            raise ValueError("ambient variable count must be >= 1")
+        return _raw(n, 1, {})
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm
@@ -586,7 +587,13 @@ class _HElement:
         self.cof = cof
 
 
-def _homogenize(polys, order: LocalOrder):
+def _term_weights(polys, order: LocalOrder) -> list:
+    """Per polynomial, the weight of each term, in the order of its terms."""
+    weights = order.form.weights
+    return [[sum(map(mul, weights, e)) for e in f.exponents()] for f in polys]
+
+
+def _homogenize(polys, order: LocalOrder, weighed=None):
     """Weighted homogenization of nonzero polynomials into packed elements.
 
     Pads each term with a grading variable so every term reaches the top
@@ -594,19 +601,25 @@ def _homogenize(polys, order: LocalOrder):
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
     c is the pair (num, den): den f's stored denominator, the lcm of its
     coefficients' denominators, and num the gcd of its stored numerators
-    (``_integral``).
+    (``_integral``).  Each term's weight is computed once, by
+    ``_term_weights`` unless the caller passes them as ``weighed``: it
+    gives the top weight and the term's t-exponent, top minus it, and since
+    t is the lowest field the term's key is its packed x-part plus that
+    exponent.
     Returns (packing, elements, contents), the packing sized for the top weights.
     """
-    form = order.form
-    tops = [max(form.weight(e) for e in f.exponents()) for f in polys]
+    if weighed is None:
+        weighed = _term_weights(polys, order)
+    tops = list(map(max, weighed))
     packing = _Packing(order, max(tops, default=0))
+    pack = packing.pack
     origin = (0,) * order.n
     elems = []
     contents = []
-    for k, (f, top) in enumerate(zip(polys, tops)):
+    for k, (f, ws, top) in enumerate(zip(polys, weighed, tops)):
         den, terms = _integral(f)
         num = gcd(*terms.values())
-        poly = {packing.pack((*e, top - form.weight(e))): v // num for e, v in terms.items()}
+        poly = {pack(e) + top - w: v // num for (e, v), w in zip(terms.items(), ws)}
         elems.append(_HElement(poly, packing, (num, {k: {origin: den}})))
         contents.append((num, den))
     return packing, elems, contents
@@ -972,24 +985,47 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
 _ECHELON_COLUMNS = 2000
 
 
+@lru_cache(maxsize=16)
+def _layers(order: LocalOrder, top: int) -> tuple:
+    """The packed monomials of each weight 0..top, at grading variable 0,
+    in the layout ``_Packing(order, top)`` that ``_homogenize`` makes for
+    top weight ``top``; each weight's in ``weighted_box`` order, so x_1 is
+    outermost.  At t = 0 the top field of a packed key is its weight, which
+    picks its layer.  Immutable tuples, built once per (order, top) and shared by
+    every presentation; the bound keeps many top weights from pinning their
+    boxes."""
+    packing = _Packing(order, top)
+    layers = [[] for _ in range(top + 1)]
+    for e in weighted_box(order.form.weights, top):
+        k = packing.pack(e)
+        layers[k >> packing.wshift].append(k)
+    return tuple(map(tuple, layers))
+
+
 def _echelon_diagram(generators, order: LocalOrder):
     """The diagram of a zero-dimensional ideal from one exact truncated
     Macaulay echelon, as (diagram, packing, rows), or None when the input
     is left to ``_complete``.
 
     The rows are the multiples x^a * g of the content-stripped integer
-    generators, every term of weight above eta dropped, on packed keys
-    with grading variable 0, so key order is the local order and a row's
-    smallest key is its lead.  Each row is top-reduced through ``_submul``
-    against the pivot rows, the kernel stripping its content.  The
-    rows span the ideal modulo the monomials of weight above eta, and the
-    order is led by the weight, so the pivots are exactly the initial
-    exponents of weight at most eta (Lazard, EUROCAL 1983).  Once every
-    monomial with weight in (eta - w, eta] is a pivot, w the largest
+    generators of ``_homogenize``, every term of weight above eta dropped,
+    on packed keys with grading variable 0, so key order is the local
+    order and a row's smallest key is its lead.  Each row is top-reduced
+    through ``_submul`` against the pivot rows, the kernel stripping its
+    content.  The rows span the ideal modulo the monomials of weight above
+    eta, and the order is led by the weight, so the pivots are exactly the
+    initial exponents of weight at most eta (Lazard, EUROCAL 1983).  Once
+    every monomial with weight in (eta - w, eta] is a pivot, w the largest
     variable weight, each monomial above eta has a pivot divisor among
     them: no vertex lies above eta, and the diagram is the set of minimal
     pivots (Greuel-Pfister ch. 1, the highest corner).  A window of weight
-    eta alone is not enough under unequal weights.
+    eta alone is not enough under unequal weights.  The pivots of weight
+    at most eta are the diagram's points of that weight, so such a pivot
+    is a vertex exactly when no pivot lies one step below it along a
+    variable it carries: n lookups of packed keys, key minus the
+    variable's multiplier.  Pivots above eta are never vertices and need
+    not have their predecessors among the pivots, so only the others are
+    tested, and only the vertices reach ``vertices_from_exponents``.
 
     The rows are truncated once, at the largest top weight of a generator,
     and enter in batches by the weight of their initial term, weight(a)
@@ -1000,10 +1036,11 @@ def _echelon_diagram(generators, order: LocalOrder):
     generators and a pure power of every variable (a constant counts for
     all) among their terms, and only when the number of monomials of
     weight at most the top weight, bounded by C(top + n, n), is at most
-    ``_ECHELON_COLUMNS``.  An input whose window is not covered by the top
-    weight also gives None.  The columns are ``weighted_box`` up to the
-    top weight, bucketed by weight in box order, so rows of one batch
-    enter with x_1 outermost.
+    ``_ECHELON_COLUMNS``, checked before anything is built; the term
+    weights it reads are the ones ``_homogenize`` then packs.  An input
+    whose window is not covered by the top weight also gives None.  The
+    columns are the layers of ``_layers`` for the top weight, so rows of
+    one batch enter with x_1 outermost.
 
     ``rows`` are the pivot rows whose leads are the vertices, as packed
     integer dicts of ``packing``.  Each is the
@@ -1014,36 +1051,31 @@ def _echelon_diagram(generators, order: LocalOrder):
     n = order.n
     if len(generators) < n:
         return None
-    form = order.form
     axes = set()
-    top = 0
     for g in generators:
         for e in g.exponents():
-            top = max(top, form.weight(e))
             support = [i for i, b in enumerate(e) if b]
             if len(support) < 2:
                 axes.update(support or range(n))
-    if len(axes) < n or comb(top + n, n) > _ECHELON_COLUMNS:
+    if len(axes) < n:
         return None
-
-    # the content-stripped integer generators of _homogenize with grading
-    # variable 0; a graded lead's weight is its generator's order
-    packing, elems, _ = _homogenize(generators, order)
+    weighed = _term_weights(generators, order)
+    top = max(map(max, weighed))
+    if comb(top + n, n) > _ECHELON_COLUMNS:
+        return None
+    # the content-stripped integer generators with grading variable 0; a
+    # graded lead's weight is its generator's order
+    packing, elems, _ = _homogenize(generators, order, weighed)
     mask, wshift = packing.max_grade, packing.wshift
     gens = [
         (b.lead >> wshift, [(k - (k & mask), k >> wshift, c) for k, c in b.poly.items()])
         for b in elems
     ]
-    # the packed monomials of each weight up to the top one; at t = 0 the
-    # top field of a packed key is its weight
-    layers = [[] for _ in range(top + 1)]
-    for e in weighted_box(form.weights, top):
-        k = packing.pack(e)
-        layers[k >> wshift].append(k)
+    layers = _layers(order, top)
 
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight
-    span = max(form.weights)
+    span = max(order.form.weights)
     for eta in range(top + 1):
         for low, terms in gens:
             if low > eta:
@@ -1061,8 +1093,18 @@ def _echelon_diagram(generators, order: LocalOrder):
                     _submul(row, pivot[lead], row[lead], 0, pivot)
         window = range(max(0, eta - span + 1), eta + 1)
         if all(found[w] == len(layers[w]) for w in window):
-            diagram = vertices_from_exponents(map(packing.xpart, pivots), n)
-            rows = [pivots[packing.pack((*v, 0))] for v in diagram.vertices]
+            below = list(zip(packing.shifts, packing.mults))
+            corners = []
+            for k in pivots:
+                if k >> wshift > eta:
+                    continue
+                for s, m in below:
+                    if (k >> s) & mask and k - m in pivots:
+                        break
+                else:
+                    corners.append(k)
+            diagram = vertices_from_exponents(map(packing.xpart, corners), n)
+            rows = [pivots[packing.pack(v)] for v in diagram.vertices]
             return diagram, packing, rows
     return None
 

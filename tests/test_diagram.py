@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -289,6 +290,20 @@ def test_size_and_sign_mismatches_are_refused(call, error):
     assert raised.type is error
 
 
+def test_total_degree_defaults_read_the_unit_weights():
+    # max_vertex_weight() and hilbert_samuel build no form: they agree with
+    # the total-degree form and, as it does, refuse zero coordinates
+    d = Diagram(3, {(2, 0, 1), (0, 4, 0), (1, 1, 1)})
+    assert d.max_vertex_weight() == d.max_vertex_weight(degree_form(3)) == 4
+    assert hilbert_samuel(d, 6).to_list() == [
+        complement_count(d, degree_form(3), eta) for eta in range(7)
+    ]
+    assert Diagram(2).max_vertex_weight() == 0
+    for call in (Diagram(0).max_vertex_weight, lambda: hilbert_samuel(Diagram(0), 2)):
+        with pytest.raises(ValueError, match="at least one weight"):
+            call()
+
+
 def test_exponents_off_the_lattice_are_refused():
     # vertices and members live in N^n: a negative entry used to build a
     # diagram containing (1, 0) and (5, -1), and to make member answer
@@ -300,5 +315,12 @@ def test_exponents_off_the_lattice_are_refused():
         Diagram(2, {(1, 0)}).member((5, -1))
     with pytest.raises(ValueError):
         Diagram(2, {(1, 0)}).member((1, -3))
+    # a coordinate that is not an int is refused as it is in a vertex; (1, 0.5)
+    # used to count as a member of the staircase of (1, 0)
+    for off in ((1, 0.5), (2.0, 1), (1, Fraction(1)), (1, "a")):
+        with pytest.raises(ValueError, match=r"is not in N\^2$"):
+            Diagram(2, {(1, 0)}).member(off)
+        with pytest.raises(ValueError, match=r"is not in N\^2$"):
+            Diagram(2, {off})
     assert Diagram(2, {(1, 0)}).member((1, 3))
     assert not Diagram(2, {(1, 0)}).member((0, 3))

@@ -84,6 +84,18 @@ def test_no_zero_terms_stored():
     assert Poly(2, {(1, 0): Fraction(0)}).is_zero
 
 
+def test_zero_is_the_canonical_form():
+    zero = Poly.zero(3)
+    assert zero.is_zero and zero == Poly(3) and hash(zero) == hash(Poly(3, {}))
+    assert _integral(zero) == (1, {}) and zero.n == 3
+    # each call gives its own polynomial, equal to every other zero
+    assert Poly.zero(3) is not zero and Poly.zero(3) == zero
+    assert zero + p("x1", 3) == p("x1", 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^ambient variable count must be >= 1$"):
+            Poly.zero(n)
+
+
 def test_constructor_sums_repeated_exponents_in_order():
     # (1, 0) cancels after its second pair and re-enters after (0, 1)
     q = Poly(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((1, 0), 3)])

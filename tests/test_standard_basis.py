@@ -913,6 +913,89 @@ def test_echelon_window_spans_the_largest_variable_weight():
     assert {(1, 3), (2, 1), (0, 5)} <= pivots and (3, 0) not in pivots
 
 
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        pytest.param(
+            ["-x2^2 + 3*x1^4", "3*x2^2 + 5*x2^4", "3*x1*x2 - 5*x2^3"],
+            LocalOrder(PositiveLinearForm((1, 2)), REVERSE),
+            id="weights-1-2-reverse",
+        ),
+        pytest.param(
+            [
+                "-4*x1*x2 + x1^2*x2^2 + 2*x1^3*x2",
+                "x1^2 - 5*x1*x2^3 - 5*x1^3*x2 + x1^4",
+                "-x2^2 - 2*x1^2*x2 - 5*x1^2*x2^2",
+            ],
+            LocalOrder(PositiveLinearForm((2, 1)), FORWARD),
+            id="weights-2-1-forward",
+        ),
+    ],
+)
+def test_echelon_reads_its_vertices_off_the_pivots(monkeypatch, gens, order):
+    # a pivot of weight at most the closing eta is a vertex when no pivot lies
+    # one step below it along a variable it carries; a pivot above eta, such
+    # as x2^4 of the first ideal, can lack that predecessor, so it is never
+    # tested, and only the vertices reach vertices_from_exponents
+    passed = []
+    real = standard_basis.vertices_from_exponents
+
+    def recording(exponents, n=None):
+        exponents = list(exponents)
+        passed.append(exponents)
+        return real(exponents, n)
+
+    ideal = IdealPresentation(2, [p(g) for g in gens])
+    monkeypatch.setattr(standard_basis, "vertices_from_exponents", recording)
+    diagram, packing, rows = standard_basis._echelon_diagram(ideal.generators, order)
+    monkeypatch.undo()
+    assert diagram == _completed_diagram(ideal, order)
+    assert len(passed) == 1 and sorted(passed[0]) == sorted(diagram.vertices)
+    # one vertex row per vertex, in the diagram's vertex order
+    assert [packing.xpart(min(row)) for row in rows] == list(diagram.vertices)
+
+
+def test_echelon_layers_are_built_once_per_order_and_top(monkeypatch):
+    built = []
+    real = standard_basis.weighted_box
+
+    def counting(weights, top):
+        built.append((weights, top))
+        return real(weights, top)
+
+    monkeypatch.setattr(standard_basis, "weighted_box", counting)
+    standard_basis._layers.cache_clear()
+    orders = [degree_order(2, FORWARD), degree_order(2, REVERSE)]
+    # zero-dimensional ideals the echelon certifies, all of top weight 4
+    ideals = [
+        [p("x1^2 + x2^4"), p("x2^2 - x1^3")],
+        [p("x1^3 + x1*x2^3"), p("x2^2 + x1^4"), p("x1*x2")],
+        [p("x1^2 - x2^4"), p("x2^3 + x1^3")],
+    ]
+    for gens in ideals:
+        for order in orders:
+            ideal = IdealPresentation(2, gens)
+            assert standard_basis._echelon_diagram(gens, order) is not None
+            assert ideal.diagram(order) == _completed_diagram(ideal, order)
+    assert len(built) == 2
+    # a larger top weight builds its own layers; an equal order made afresh
+    # reads the cached ones
+    assert standard_basis._echelon_diagram([p("x1^2 + x2^6"), p("x2^5")], orders[0]) is not None
+    assert len(built) == 3
+    again = LocalOrder(PositiveLinearForm((1, 1)), FORWARD)
+    _, packing, _ = standard_basis._echelon_diagram(ideals[0], again)
+    assert len(built) == 3
+    layers = standard_basis._layers(again, 4)
+    assert layers is standard_basis._layers(orders[0], 4)
+    # immutable, and in the layout of the packing the echelon homogenized with
+    assert isinstance(layers, tuple) and all(isinstance(layer, tuple) for layer in layers)
+    box = [again.form.weight(packing.xpart(k)) for layer in layers for k in layer]
+    assert box == sorted(box) and len(box) == 15
+    assert [len(layer) for layer in layers] == [1, 2, 3, 4, 5]
+    maxsize = standard_basis._layers.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 32
+
+
 def test_echelon_declines_before_building_a_row(monkeypatch):
     def refused(*args):
         raise AssertionError("an echelon was started")
