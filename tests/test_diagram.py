@@ -6,6 +6,7 @@ import pytest
 from germlab import (
     DimensionMismatchError,
     Diagram,
+    HilbertSamuelTable,
     IdealPresentation,
     Poly,
     PositiveLinearForm,
@@ -324,3 +325,14 @@ def test_exponents_off_the_lattice_are_refused():
             Diagram(2, {off})
     assert Diagram(2, {(1, 0)}).member((1, 3))
     assert not Diagram(2, {(1, 0)}).member((0, 3))
+
+
+def test_hilbert_samuel_values_are_refused_not_coerced():
+    # table equality is the verdict the experiments report: (1.9, 2.5) used
+    # to become [1, 2] and ("3",) [3]
+    for values in ((1.9, 2.5), ("3",), (1, Fraction(2)), (1, -2)):
+        with pytest.raises(ValueError, match="not all non-negative ints"):
+            HilbertSamuelTable(values)
+    table = HilbertSamuelTable([1, 3, 4])
+    assert table.values == (1, 3, 4) and table.to_list() == [1, 3, 4]
+    assert table == HilbertSamuelTable((1, 3, 4))

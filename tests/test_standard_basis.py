@@ -985,15 +985,69 @@ def test_echelon_layers_are_built_once_per_order_and_top(monkeypatch):
     again = LocalOrder(PositiveLinearForm((1, 1)), FORWARD)
     _, packing, _ = standard_basis._echelon_diagram(ideals[0], again)
     assert len(built) == 3
-    layers = standard_basis._layers(again, 4)
-    assert layers is standard_basis._layers(orders[0], 4)
-    # immutable, and in the layout of the packing the echelon homogenized with
+    cached, layers = standard_basis._layers(again, 4)
+    assert layers is standard_basis._layers(orders[0], 4)[1]
+    # the echelon's packing is the cached one, shared across presentations
+    assert packing is cached is standard_basis._layers(orders[0], 4)[0]
+    # immutable, and in the layout of the packing the echelon packed its rows on
     assert isinstance(layers, tuple) and all(isinstance(layer, tuple) for layer in layers)
     box = [again.form.weight(packing.xpart(k)) for layer in layers for k in layer]
     assert box == sorted(box) and len(box) == 15
     assert [len(layer) for layer in layers] == [1, 2, 3, 4, 5]
     maxsize = standard_basis._layers.cache_info().maxsize
     assert maxsize is not None and maxsize <= 32
+
+
+@pytest.mark.parametrize(
+    "order",
+    [REV, degree_order(2, FORWARD), LocalOrder(PositiveLinearForm((1, 2)))],
+    ids=["degree-reverse", "degree-forward", "weights-1-2"],
+)
+def test_echelon_packs_its_rows_without_homogenizing(monkeypatch, order):
+    # only the graded engine homogenizes: the echelon packs each generator's
+    # stored numerators straight onto the cached packing of its (order, top)
+    def refused(*args, **kwargs):
+        raise AssertionError("the echelon homogenized")
+
+    gens = [p("x1^2 + x2^4"), p("x2^2 - x1^3")]
+    top = max(order.form.weight(e) for g in gens for e in g.exponents())
+    monkeypatch.setattr(standard_basis, "_homogenize", refused)
+    monkeypatch.setattr(standard_basis, "_HElement", refused)
+    diagram, packing, rows = standard_basis._echelon_diagram(gens, order)
+    monkeypatch.undo()
+    assert packing is standard_basis._layers(order, top)[0]
+    assert diagram == _completed_diagram(IdealPresentation(2, gens), order)
+    assert [packing.xpart(min(row)) for row in rows] == list(diagram.vertices)
+
+
+def _echelon_orders(n):
+    """The degree order and weight 2 on each variable, both tie-breaks."""
+    orders = [degree_order(n, REVERSE), degree_order(n, FORWARD)]
+    for i in range(n):
+        form = PositiveLinearForm(tuple(2 if j == i else 1 for j in range(n)))
+        orders += [LocalOrder(form, REVERSE), LocalOrder(form, FORWARD)]
+    return orders
+
+
+# sha256 of the echelon's outputs over the corpus, recorded while its rows
+# still came from homogenized elements: per (ideal, order) None when it
+# declines, else the sorted vertices and each vertex row's items, so any
+# change to a pivot row's coefficients or key order changes it
+_ECHELON_OUTPUTS_SHA256 = "28c7adf69394f1661c02d6886a84895a289f21b7ddaac9e1db02a151f068fd00"
+
+
+def test_echelon_outputs_repeat_byte_for_byte_on_the_corpus():
+    digest = hashlib.sha256()
+    certified = 0
+    for ideal in corpus():
+        for order in _echelon_orders(ideal.n):
+            got = standard_basis._echelon_diagram(ideal.generators, order)
+            if got is not None:
+                certified += 1
+                got = (sorted(got[0].vertices), [list(row.items()) for row in got[2]])
+            digest.update(repr(got).encode())
+    assert certified == 98
+    assert digest.hexdigest() == _ECHELON_OUTPUTS_SHA256
 
 
 def test_echelon_declines_before_building_a_row(monkeypatch):
