@@ -10,7 +10,7 @@ Hilbert-Samuel data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add, le
 
 from .errors import DimensionMismatchError
@@ -30,8 +30,12 @@ def _minimal_elements(exponents):
 
 
 def _in_lattice(exponent) -> bool:
-    """Whether every coordinate is a non-negative int, in C-level passes."""
-    return all(map(isinstance, exponent, repeat(int))) and min(exponent, default=0) >= 0
+    """Whether every coordinate is an int (of type int itself, so a bool is
+    not one) and non-negative."""
+    for c in exponent:
+        if type(c) is not int or c < 0:
+            return False
+    return True
 
 
 def _degree_weights(n: int) -> tuple:

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
+from operator import add
 
 from .diagram import HilbertSamuelTable
 from .errors import DimensionMismatchError
-from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, exp_add, weighted_box
+from .orders import FORWARD, LocalOrder, PositiveLinearForm, degree_order, weighted_box
 from .poly import _integral
 from .standard_basis import IdealPresentation
 
@@ -93,7 +94,7 @@ def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
             if wa > top:
                 break
             room = eta - wa
-            rows.append({index[exp_add(e, alpha)]: c for e, w, c in int_terms if w <= room})
+            rows.append({index[tuple(map(add, e, alpha))]: c for e, w, c in int_terms if w <= room})
     return rows
 
 

@@ -70,7 +70,7 @@ class LocalOrder:
 
     def key(self, exponent):
         """Sort key; exponents compare under the order as their keys compare."""
-        w = self.form.weight(exponent)
+        w = sum(map(mul, self.form.weights, exponent))
         if self.tiebreak == FORWARD:
             return (w, *exponent)
         return (w, *exponent[::-1])

@@ -31,7 +31,13 @@ either side, and in between contents and step scalars are reduced integer
 pairs (num, den).  With the common power of t divided out, a polynomial's
 ecart is the t-exponent of its homogenized lead, and adjoining the current
 polynomial followed by a shift by t^k is what lets a reducer of larger
-ecart divide it.
+ecart divide it.  Reductions record their steps, and cofactors are
+rebuilt from the records only where they are needed.  Becker's check
+reduces against the homogenized basis alone, each element the given one
+times a constant, so its quotients are read straight off the steps, one
+term per step, each quotient over its own denominator; and its
+initial-exponent inequality compares order keys, which add as exponents
+do, without forming an exponent.
 
 Diagrams of zero-dimensional ideals need no completion: the same kernel
 top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
@@ -52,12 +58,12 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import DimensionMismatchError, ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
-from .poly import Poly, _integral, _mul_into, _over, _products, initial_exponent, initial_term
+from .orders import REVERSE, LocalOrder, exp_max, exp_sub, weighted_box
+from .poly import Poly, _integral, _mul_into, _over, _products, initial_term
 
 
 @dataclass(frozen=True)
@@ -223,16 +229,28 @@ class StandardRepresentation:
 
         inexp(Q_i basis_i) is inexp(Q_i) + inexp(basis_i): the order is
         compatible with exponent addition and the coefficients have no zero
-        divisors, so no product is formed.
+        divisors, so no product is formed.  ``order.key`` is additive,
+        component by component, so the product's least key is the sum of
+        the two least keys, and only keys are compared.
         """
         if self.subject.is_zero:
             return True
-        lead = order.key(initial_exponent(self.subject, order))
+        n = order.n
+        if self.subject.n != n:
+            raise DimensionMismatchError(
+                f"polynomial on {self.subject.n} variables, order on {n}"
+            )
+        key = order.key
+        lead = min(map(key, self.subject.exponents()))
         for q, g in zip(self.quotients, basis):
             if q.is_zero or g.is_zero:
                 continue
-            e = exp_add(initial_exponent(q, order), initial_exponent(g, order))
-            if order.key(e) < lead:
+            if q.n != n or g.n != n:
+                raise DimensionMismatchError(
+                    f"polynomials on {q.n} and {g.n} variables, order on {n}"
+                )
+            least = tuple(map(add, min(map(key, q.exponents())), min(map(key, g.exponents()))))
+            if least < lead:
                 return False
         return True
 
@@ -256,8 +274,9 @@ def becker_check(
     witness is deterministic.  Each s-polynomial is reduced by ``_hreduce``
     against the homogenized basis; its subject is the packed s-pair at
     grading variable 1, rescaled to the s-series of the given elements.  A
-    zero result gives a unit-free representation, its quotients rebuilt
-    from the step records by ``_cofactors``.  A nonzero result's smallest
+    zero result gives a unit-free representation, its quotients read off
+    the step records by ``_step_quotients``, one term per step and each
+    quotient over its own denominator.  A nonzero result's smallest
     key is the first term found irreducible: when no lead's x-part divides
     its x-part, the result at grading variable 1 is the witness; otherwise
     only the grading variable blocked it and the unit-carrying division is
@@ -268,6 +287,7 @@ def becker_check(
     if any(g.is_zero for g in basis):
         raise ZeroPolynomialError("basis elements must be nonzero")
     packing, helems, contents = _homogenize(basis, order)
+    where = {h: k for k, h in enumerate(helems)}
     one = Poly.constant(n, 1)  # the unit of every unit-free representation
 
     reps = []
@@ -290,8 +310,7 @@ def becker_check(
             work, steps = _hreduce(work, helems, packing, limits)
             if not work:
                 # work ended at 0, so s = scale * sum_r beta_r * x^(m_r) * t_r.poly
-                cof = _cofactors(steps, packing, scale)
-                quotients = _cofactor_polys(n, cof, len(basis))
+                quotients = _step_quotients(n, steps, packing, scale, where, contents)
                 reps.append(
                     (i, j, StandardRepresentation(s, quotients, one))
                 )
@@ -761,6 +780,19 @@ def _reduced_cone(packing: _Packing, rows, limits: ResourceLimits) -> tuple:
     return tuple(cone)
 
 
+def _betas(steps, scale):
+    """(p, q, m, t) per step (t, m, a, b, c) of ``_hreduce``: p / q is
+    scale * beta_r, beta_r = b_r / (a_r * lam_(r-1)), as a ``_lowest``
+    pair, so scale * sum_r beta_r * x^(m_r) * t_r.poly is what the steps
+    took off."""
+    snum, sden = scale
+    for t, m, a, b, c in steps:
+        # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
+        yield (*_lowest(snum * b, sden * a), m, t)
+        if a != c:
+            snum, sden = _lowest(snum * c, sden * a)
+
+
 def _cofactors(steps, packing: _Packing, scale, start=()):
     """Local-ring cofactors of what ``_hreduce`` took off, from its steps.
 
@@ -782,12 +814,7 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
     denominator, which is then cut to the least one.
     """
     terms = [(p, q, m, elem) for (p, q), m, elem in start]
-    snum, sden = scale
-    for t, m, a, b, c in steps:
-        # scale / lam_(r-1) times b/a, then scale / lam_r for the next step
-        terms.append((*_lowest(snum * b, sden * a), m, t))
-        if a != c:
-            snum, sden = _lowest(snum * c, sden * a)
+    terms.extend(_betas(steps, scale))
     den = lcm(*[q * elem.cof[0] for _, q, _, elem in terms])
     cof: dict = {}
     for p, q, m, elem in terms:
@@ -800,6 +827,39 @@ def _cofactors(steps, packing: _Packing, scale, start=()):
         den //= g
         cof = {k: {e: v // g for e, v in ck.items()} for k, ck in cof.items()}
     return den, cof
+
+
+def _step_quotients(n: int, steps, packing: _Packing, scale, where, contents) -> list:
+    """The quotients of scale * sum_r beta_r * x^(m_r) * t_r.poly over the
+    original polynomials, when every reducer is an element of
+    ``_homogenize``: reducer k is the polynomial k times the unit
+    den_k / num_k, (num_k, den_k) = contents[k], and ``where`` maps it to k.
+
+    The coefficients beta_r come from ``_betas``, as ``_cofactors``'s do,
+    so quotient k has one term scale * beta_r * den_k / num_k * x^(xpart m_r) per step r whose
+    reducer is k, in step order.  No two of those steps share an x-part:
+    ``_hreduce`` reduces each key once, and the shifts of one reducer all
+    lie in one grade, where the x-part fixes the rest.  Each quotient is
+    brought over the lcm of its own denominators and cut to lowest terms
+    by ``_over``: the polynomial, term order included, that
+    ``_cofactor_polys`` reads off ``_cofactors``'s combination, with no
+    denominator shared between quotients.
+    """
+    terms = [[] for _ in contents]
+    for p, q, m, t in _betas(steps, scale):
+        terms[where[t]].append((m, p, q))
+    xpart = packing.xpart
+    zero = Poly.zero(n)
+    quotients = []
+    for (num, den), ts in zip(contents, terms):
+        if not ts:
+            quotients.append(zero)
+            continue
+        qden = lcm(*[q for _, _, q in ts])
+        quotients.append(
+            _over(n, qden * num, [(xpart(m), p * (qden // q) * den) for m, p, q in ts])
+        )
+    return quotients
 
 
 def _lowest(p: int, q: int) -> tuple:

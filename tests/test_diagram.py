@@ -336,3 +336,21 @@ def test_hilbert_samuel_values_are_refused_not_coerced():
     table = HilbertSamuelTable([1, 3, 4])
     assert table.values == (1, 3, 4) and table.to_list() == [1, 3, 4]
     assert table == HilbertSamuelTable((1, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Diagram(2, {(True, 0)}), r"is not in N\^2$", id="vertex"),
+        pytest.param(
+            lambda: Diagram(2, {(1, 0)}).member((True, 0)), r"is not in N\^2$", id="member"
+        ),
+        pytest.param(
+            lambda: HilbertSamuelTable((True, 2)), "not all non-negative ints", id="hs-values"
+        ),
+    ],
+)
+def test_bools_are_not_lattice_coordinates(call, message):
+    # True is an int to isinstance; a kept bool was serialized as `true`
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -288,24 +288,45 @@ def _inequality_by_products(rep, basis, order):
     )
 
 
-@pytest.mark.parametrize("weights", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
 def test_inequality_holds_matches_the_products(weights):
-    order = LocalOrder(PositiveLinearForm(weights), REVERSE)
-    rng = make_rng("inequality-holds", *weights)
-    verdicts = set()
-    for _ in range(150):
-        basis = [random_poly(rng, 2, max_degree=4, max_terms=3) for _ in range(rng.randint(1, 3))]
-        subject = random_poly(rng, 2, max_degree=4, max_terms=3)
-        quotients = [
-            random_poly(rng, 2, max_degree=3, max_terms=2, min_term_degree=0)
-            if rng.random() < 0.7 else Poly.zero(2)
-            for _ in basis
-        ]
-        rep = StandardRepresentation(subject, quotients, Poly.constant(2, 1))
-        got = rep.inequality_holds(basis, order)
-        assert got == _inequality_by_products(rep, basis, order)
-        verdicts.add(got)
-    assert verdicts == {True, False}
+    for tiebreak in (REVERSE, FORWARD):
+        order = LocalOrder(PositiveLinearForm(weights), tiebreak)
+        rng = make_rng("inequality-holds", *weights, tiebreak)
+        verdicts = set()
+        for _ in range(150):
+            basis = [
+                random_poly(rng, 2, max_degree=4, max_terms=3) for _ in range(rng.randint(1, 3))
+            ]
+            subject = random_poly(rng, 2, max_degree=4, max_terms=3)
+            quotients = [
+                random_poly(rng, 2, max_degree=3, max_terms=2, min_term_degree=0)
+                if rng.random() < 0.7 else Poly.zero(2)
+                for _ in basis
+            ]
+            rep = StandardRepresentation(subject, quotients, Poly.constant(2, 1))
+            got = rep.inequality_holds(basis, order)
+            assert got == _inequality_by_products(rep, basis, order)
+            verdicts.add(got)
+        assert verdicts == {True, False}, tiebreak
+
+
+def test_inequality_holds_refuses_a_factor_on_other_variables():
+    # the verdict reads keys only, but every polynomial it reads must be on
+    # the order's variables
+    rep = StandardRepresentation(p("x1^2"), [p("x1"), Poly.zero(2)], Poly.constant(2, 1))
+    assert rep.inequality_holds([p("x1"), p("x2")], REV)
+    other = parse_poly("x1 + x3", 3)
+    for quotients, basis in (
+        ([other, Poly.zero(2)], [p("x1"), p("x2")]),
+        ([p("x1"), Poly.zero(2)], [other, p("x2")]),
+    ):
+        rep = StandardRepresentation(p("x1^2"), quotients, Poly.constant(2, 1))
+        with pytest.raises(DimensionMismatchError):
+            rep.inequality_holds(basis, REV)
+    rep = StandardRepresentation(other, [p("x1")], Poly.constant(3, 1))
+    with pytest.raises(DimensionMismatchError):
+        rep.inequality_holds([p("x1")], REV)
 
 
 def test_diagram_of_ideal():
@@ -1315,6 +1336,43 @@ def test_integer_cofactors_match_the_fraction_reference_on_the_corpus(monkeypatc
             got = _certified_outputs(IdealPresentation(n, ideal.generators), order)
             assert got == want, (ideal, order)
     assert len(calls) > 1000 and max(calls) > 1
+
+
+def _reference_becker_quotients(n, steps, packing, scale, count):
+    """Becker's quotients as ``_cofactor_polys`` reads them off
+    ``_cofactors``'s combination, over one common denominator: the
+    reference for the quotients read straight off the steps."""
+    return standard_basis._cofactor_polys(
+        n, standard_basis._cofactors(steps, packing, scale), count
+    )
+
+
+def test_becker_quotients_match_the_cofactor_route_on_the_corpus(monkeypatch):
+    real = standard_basis._step_quotients
+    compared = []
+
+    def checked(n, steps, packing, scale, where, contents):
+        got = real(n, steps, packing, scale, where, contents)
+        want = _reference_becker_quotients(n, steps, packing, scale, len(contents))
+        assert _terms(got) == _terms(want)
+        compared.append(len(steps))
+        return got
+
+    monkeypatch.setattr(standard_basis, "_step_quotients", checked)
+    for ideal in corpus():
+        n = ideal.n
+        orders = (
+            degree_order(n, REVERSE),
+            degree_order(n, FORWARD),
+            LocalOrder(PositiveLinearForm((2,) + (1,) * (n - 1))),
+        )
+        for order in orders:
+            basis = list(IdealPresentation(n, ideal.generators).completion(order).basis)
+            result = becker_check(basis, order)
+            assert result.ok
+            for _, _, rep in result.representations:
+                assert rep is None or rep.verify(basis)
+    assert len(compared) > 1000 and max(compared) > 1
 
 
 # sha256 of the outputs below over the corpus, recorded before the engine's
