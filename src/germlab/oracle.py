@@ -15,7 +15,8 @@ enumeration of its own.  One echelon is kept per (presentation, order,
 eta), held weakly by the presentation, so ``oracle_hs`` reads the
 forward-degree echelon ``oracle_staircase`` built for the same eta.  The
 sorted columns depend on (order, eta) alone, so a small bounded cache
-shares one column box among all presentations.
+shares one column box among all presentations, and the box keeps, per
+generator exponent, the columns of its shifts, off which rows are read.
 
 The elimination skips work that cannot change its answer.  The pivot
 columns are the leads of the row space, whatever order the rows come in,
@@ -28,7 +29,8 @@ reduces to zero: it is dropped at once.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -48,13 +50,15 @@ _ECHELONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 @dataclass(frozen=True)
 class TruncationBasis:
     """Monomials of weight <= eta, sorted ascending by a local order, with
-    the weight of each."""
+    the weight of each, and per exponent e the column indices of e + alpha
+    over the columns alpha that fit (filled by ``_shifted``)."""
 
     order: LocalOrder
     eta: int
     monomials: tuple
     index: dict
     weights: tuple
+    shifted: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, order: LocalOrder, eta: int) -> "TruncationBasis":
@@ -74,27 +78,36 @@ def _columns(order: LocalOrder, eta: int) -> TruncationBasis:
     return TruncationBasis.build(order, eta)
 
 
+def _shifted(tb: TruncationBasis, e) -> list:
+    """The column of e + alpha for each column alpha of weight at most
+    eta - weight(e), in column order, built once per exponent and box.
+    The columns go up by weight, so those alpha are a prefix of them."""
+    got = tb.shifted.get(e)
+    if got is None:
+        fit = bisect_right(tb.weights, tb.eta - tb.order.form.weight(e))
+        index = tb.index
+        got = tb.shifted[e] = [index[tuple(map(add, e, a))] for a in tb.monomials[:fit]]
+    return got
+
+
 def _integer_rows(ideal: IdealPresentation, tb: TruncationBasis):
     """Truncated jets of x^alpha * F_i as sparse integer rows.
 
     Per generator the shifts alpha are the columns themselves, in column
     order, up to weight eta minus the generator's order, so every row keeps
-    at least that lowest-weight term; a term stays when its weight fits in
-    what alpha leaves of eta.
+    at least that lowest-weight term; a term e stays when its weight fits
+    in what alpha leaves of eta, that is, while ``_shifted(tb, e)`` still
+    has a column for alpha.
     """
-    form = tb.order.form
-    eta, index = tb.eta, tb.index
+    key = tb.order.key
     rows = []
     for gen in ideal.generators:
         # the stored numerators are gen times its least common denominator
-        terms = sorted(_integral(gen)[1].items(), key=lambda t: tb.order.key(t[0]))
-        int_terms = [(e, form.weight(e), c) for e, c in terms]
-        top = eta - min(w for _, w, _ in int_terms)
-        for alpha, wa in zip(tb.monomials, tb.weights):
-            if wa > top:
-                break
-            room = eta - wa
-            rows.append({index[tuple(map(add, e, alpha))]: c for e, w, c in int_terms if w <= room})
+        terms = sorted(_integral(gen)[1].items(), key=lambda t: key(t[0]))
+        shifted = [(_shifted(tb, e), c) for e, c in terms]
+        lists = [(cols, len(cols), c) for cols, c in shifted]
+        for j in range(max(m for _, m, _ in lists)):
+            rows.append({cols[j]: c for cols, m, c in lists if j < m})
     return rows
 
 

@@ -39,9 +39,11 @@ term per step, each quotient over its own denominator; and its
 initial-exponent inequality compares order keys, which add as exponents
 do, without forming an exponent.
 
-Diagrams of zero-dimensional ideals need no completion: the same kernel
-top-reduces a truncated Macaulay matrix, with t = 0, until its pivots
-cover a window of weights, and the minimal pivots are the diagram; its
+Diagrams of zero-dimensional ideals, and of monomials times them, need no
+completion: the same kernel top-reduces a truncated Macaulay matrix of the
+ideal with its monomial content divided out, with t = 0, until its pivots
+cover a window of weights, and the minimal pivots, shifted back, are the
+diagram; its
 rows are packed from the stored numerators, so only the graded engine
 homogenizes.
 Both engines give the cache (diagram, packing, rows), one row per vertex,
@@ -398,7 +400,8 @@ class IdealPresentation:
     packing; both engines hand the entry the same (diagram, packing, rows).
     A verdict-only miss is certified without any completion by the
     truncated echelon of ``_echelon_diagram`` when it can (the
-    zero-dimensional ideals it settles), else the verdict-only completion
+    zero-dimensional ideals it settles, and monomials times them), else
+    the verdict-only completion
     runs and the diagram is read off its graded leads; a request for
     certificates always completes.  The per-vertex elements give the
     tangent cone's reduced basis (``_cone``), whichever engine made the
@@ -449,10 +452,13 @@ class IdealPresentation:
         the first kept graded element of the completion whose lead's x-part
         is the vertex.
 
-        A verdict-only miss tries ``_echelon_diagram`` first; when that
-        certifies the diagram, the entry holds it, and the result runs the
-        completion on its first read, under these ``limits``.  A request
-        for certificates goes straight to ``_complete``.
+        A verdict-only miss tries ``_echelon_diagram`` first, unless a
+        diagram cached for another order shows the ideal, its monomial
+        content divided out, to be positive-dimensional, where the echelon
+        could only decline; when it certifies the diagram, the entry holds
+        it, and the result runs the completion on its first read, under
+        these ``limits``.  A request for certificates goes straight to
+        ``_complete``.
         """
         if order.n != self.n:
             raise DimensionMismatchError(
@@ -462,7 +468,9 @@ class IdealPresentation:
             got = self._cache.get(order)
             if got is None or (certificates and not got[2]):
                 gens, n = self.generators, self.n
-                certified = None if certificates else _echelon_diagram(gens, order)
+                certified = None
+                if not (certificates or self._positive_dimensional()):
+                    certified = _echelon_diagram(gens, order)
                 done = None if certified else _complete(gens, order, limits, certificates)
                 diagram, packing, rows = certified or done[:3]
 
@@ -473,6 +481,18 @@ class IdealPresentation:
                 result = CompletionResult._deferred(build, self._lock)
                 got = self._cache[order] = (result, diagram, certificates, packing, rows)
             return got
+
+    def _positive_dimensional(self) -> bool:
+        """Whether a cached diagram D shows the ideal divided by its
+        monomial content x^c to be positive-dimensional: D - c lacks a
+        vertex on some axis.  The dimension does not depend on the order,
+        so the echelon, which certifies only zero-dimensional quotients,
+        could only decline for any other order.  Called under the lock."""
+        entry = next(iter(self._cache.values()), None)
+        if entry is None:
+            return False
+        c = _content(self.generators, self.n)
+        return not _reaches_every_axis((exp_sub(v, c) for v in entry[1].vertices), self.n)
 
     def completion(
         self,
@@ -1044,17 +1064,17 @@ def _completion_result(n: int, count: int, packing: _Packing, elems, certified: 
 _ECHELON_COLUMNS = 2000
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _layers(order: LocalOrder, top: int) -> tuple:
     """(packing, layers): the one ``_Packing(order, top)``, shared by every
     presentation's echelon, cache entry and cone (nothing writes to a
     packing; ``_fit`` makes a new one), and the packed monomials of each
     weight 0..top on it at t = 0, as immutable tuples in ``weighted_box``
     order, so x_1 is outermost; a key's top field is its weight, its layer.
-    A seed-1 benchmark pass read 14 distinct keys (2,212 hits) on
-    corpus-verify, 12 (2,604) on perturbed-swell and 14 (1,525) on
-    job-suite; the bound of 16 holds them and keeps many top weights from
-    pinning their boxes."""
+    The echelon asks for top = T + weight(c).  A seed-1 benchmark pass
+    read 14 distinct keys (2,986 hits) on corpus-verify, 13 (3,187) on
+    perturbed-swell and 19 (1,742) on job-suite; the bound of 32 holds
+    them and keeps many top weights from pinning their boxes."""
     packing = _Packing(order, top)
     layers = [[] for _ in range(top + 1)]
     for e in weighted_box(order.form.weights, top):
@@ -1063,74 +1083,99 @@ def _layers(order: LocalOrder, top: int) -> tuple:
     return packing, tuple(map(tuple, layers))
 
 
-def _echelon_diagram(generators, order: LocalOrder):
-    """The diagram of a zero-dimensional ideal from one exact truncated
-    Macaulay echelon, as (diagram, packing, rows), or None when the input
-    is left to ``_complete``.
+def _content(generators, n: int) -> tuple:
+    """c, the componentwise least exponent over every term of the
+    generators: x^c is the largest monomial dividing each of them (the
+    origin for an empty list)."""
+    return tuple(map(min, zip(*chain.from_iterable(g.exponents() for g in generators)))) or (0,) * n
 
-    The rows are the multiples x^a * g of the generators' content-stripped
-    stored numerators (``_integral``), every term of weight above eta
-    dropped, on x-keys of the packing of ``_layers``: the grading variable
-    is never used, so key order is the local order and a row's smallest
-    key is its lead.  Each row is top-reduced
-    through ``_submul`` against the pivot rows, the kernel stripping its
-    content.  The rows span the ideal modulo the monomials of weight above
-    eta, and the order is led by the weight, so the pivots are exactly the
-    initial exponents of weight at most eta (Lazard, EUROCAL 1983).  Once
-    every monomial with weight in (eta - w, eta] is a pivot, w the largest
-    variable weight, each monomial above eta has a pivot divisor among
-    them: no vertex lies above eta, and the diagram is the set of minimal
-    pivots (Greuel-Pfister ch. 1, the highest corner).  A window of weight
-    eta alone is not enough under unequal weights.  The pivots of weight
-    at most eta are the diagram's points of that weight, so such a pivot
-    is a vertex exactly when no pivot lies one step below it along a
-    variable it carries: n lookups of packed keys, key minus the
+
+def _reaches_every_axis(exponents, n: int) -> bool:
+    """Whether some exponent lies on each axis: a pure power of every
+    variable among them, the origin counting for all."""
+    axes = set()
+    for e in exponents:
+        support = [i for i, b in enumerate(e) if b]
+        if len(support) < 2:
+            axes.update(support or range(n))
+    return len(axes) == n
+
+
+def _echelon_diagram(generators, order: LocalOrder):
+    """The diagram of an ideal I = x^c * J with J zero-dimensional, from one
+    exact truncated Macaulay echelon of J, as (diagram, packing, rows), or
+    None when the input is left to ``_complete``.
+
+    x^c is the monomial content of the generators (``_content``).  A local
+    order is multiplicative, so L(x^c * J) = x^c * L(J): the echelon runs on
+    the generators divided by x^c, and J's vertices and vertex rows are
+    shifted by c at the end.  On two variables every input without a pure
+    power of some variable has such a factor.
+
+    The rows are the multiples x^a * g of J's content-stripped stored
+    numerators (``_integral``), every term of weight above the truncation
+    T dropped, on x-keys of the packing of ``_layers``: the grading
+    variable is never used, so key order is the local order and a row's
+    smallest key is its lead.  Each row is top-reduced through ``_submul``
+    against the pivot rows, the kernel stripping its content.  The rows
+    span J modulo the monomials of weight above T, and the order is led by
+    the weight, so for eta <= T the pivots of weight at most eta are
+    exactly J's initial exponents of that weight (Lazard, EUROCAL 1983).
+    Once every monomial with weight in (eta - w, eta] is a pivot, w the
+    largest variable weight, each monomial above eta has a pivot divisor
+    among them: no vertex lies above eta, and the diagram is the set of
+    minimal pivots (Greuel-Pfister ch. 1, the highest corner).  A window
+    of weight eta alone is not enough under unequal weights.  The pivots
+    of weight at most eta are the diagram's points of that weight, so such
+    a pivot is a vertex exactly when no pivot lies one step below it along
+    a variable it carries: n lookups of packed keys, key minus the
     variable's multiplier.  Pivots above eta are never vertices and need
     not have their predecessors among the pivots, so only the others are
     tested, and only the vertices reach ``vertices_from_exponents``.
 
-    The rows are truncated once, at the largest top weight of a generator,
-    and enter in batches by the weight of their initial term, weight(a)
-    plus the order of g.  A row's lead only climbs, so the pivots of
-    weight at most eta all come from the batches up to eta, and the window
-    of eta is checked as soon as its batch is in.  The echelon is tried
-    only on inputs that can be zero-dimensional, with at least n
-    generators and a pure power of every variable (a constant counts for
-    all) among their terms, and only when the number of monomials of
-    weight at most the top weight, bounded by C(top + n, n), is at most
-    ``_ECHELON_COLUMNS``, checked before anything is built.  An input
-    whose window is not covered by the top weight also gives None.  The
-    columns are the layers of ``_layers`` for the top weight, so rows of
-    one batch enter with x_1 outermost.
+    T is two past J's largest generator top weight, and eta climbs to T:
+    windows that close just past the top weight certify too.  The rows
+    enter in batches by the weight of their initial term, weight(a) plus
+    the order of g.  A row's lead only climbs, so the pivots of weight at
+    most eta all come from the batches up to eta, and the window of eta is
+    checked as soon as its batch is in.  The echelon is tried only when J
+    can be zero-dimensional, with at least n generators and a pure power
+    of every variable (a constant counts for all) among their terms, and
+    only when the number of monomials of weight at most T + weight(c),
+    bounded by C(T + weight(c) + n, n), is at most ``_ECHELON_COLUMNS``,
+    checked before anything is built.  An input whose window is not
+    covered by T also gives None.  The columns are the layers of
+    ``_layers(order, T + weight(c))``, whose packing holds the shifted
+    keys, so rows of one batch enter with x_1 outermost.
 
-    ``rows`` are the pivot rows whose leads are the vertices, as packed
-    integer dicts of ``packing``, ``_layers``' own.  Each is the
-    truncation above the top weight of an element of the ideal whose lead
-    is its own, of weight at most eta, so the row's lowest-weight part is
-    that element's initial form, as ``_reduced_cone`` needs.
+    ``rows`` are the pivot rows whose leads are the vertices, times x^c,
+    as packed integer dicts of ``packing``, ``_layers``' own.  Each is the
+    truncation above T + weight(c) of an element of the ideal whose lead
+    is its own, so the row's lowest-weight part is that element's initial
+    form, as ``_reduced_cone`` needs.
     """
     n = order.n
     if len(generators) < n:
         return None
-    axes = set()
-    for g in generators:
-        for e in g.exponents():
-            support = [i for i, b in enumerate(e) if b]
-            if len(support) < 2:
-                axes.update(support or range(n))
-    if len(axes) < n:
+    stored = [_integral(g)[1] for g in generators]
+    c = _content(generators, n)
+    if any(c):
+        stored = [{exp_sub(e, c): v for e, v in terms.items()} for terms in stored]
+    if not _reaches_every_axis(chain.from_iterable(stored), n):
         return None
     weighed = _term_weights(generators, order)
-    top = max(map(max, weighed))
-    if comb(top + n, n) > _ECHELON_COLUMNS:
+    wc = sum(map(mul, order.form.weights, c))
+    top = max(map(max, weighed)) - wc + 2  # T, two past J's largest top weight
+    if comb(top + wc + n, n) > _ECHELON_COLUMNS:
         return None
-    packing, layers = _layers(order, top)
+    packing, layers = _layers(order, top + wc)
     pack, mask, wshift = packing.pack, packing.max_grade, packing.wshift
     gens = []
-    for g, ws in zip(generators, weighed):
-        stored = _integral(g)[1]
-        num = gcd(*stored.values())
-        gens.append((min(ws), [(pack(e), w, v // num) for (e, v), w in zip(stored.items(), ws)]))
+    for terms, ws in zip(stored, weighed):
+        num = gcd(*terms.values())
+        gens.append(
+            (min(ws) - wc, [(pack(e), w - wc, v // num) for (e, v), w in zip(terms.items(), ws)])
+        )
 
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight
@@ -1141,7 +1186,7 @@ def _echelon_diagram(generators, order: LocalOrder):
                 continue
             room = top - (eta - low)
             for shift in layers[eta - low]:
-                row = {shift + k: c for k, w, c in terms if w <= room}
+                row = {shift + k: v for k, w, v in terms if w <= room}
                 while row:
                     lead = min(row)
                     pivot = pivots.get(lead)
@@ -1162,8 +1207,11 @@ def _echelon_diagram(generators, order: LocalOrder):
                         break
                 else:
                     corners.append(k)
-            diagram = vertices_from_exponents(map(packing.xpart, corners), n)
-            rows = [pivots[packing.pack(v)] for v in diagram.vertices]
+            xc = pack(c)
+            diagram = vertices_from_exponents([packing.xpart(k + xc) for k in corners], n)
+            rows = [pivots[pack(v) - xc] for v in diagram.vertices]
+            if xc:
+                rows = [{k + xc: v for k, v in row.items()} for row in rows]
             return diagram, packing, rows
     return None
 

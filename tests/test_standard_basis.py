@@ -31,7 +31,7 @@ from germlab import (
     weak_normal_form,
 )
 from germlab import standard_basis
-from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max
+from germlab.orders import LocalOrder, PositiveLinearForm, exp_divides, exp_max, weighted_box
 from germlab.standard_basis import (
     DEFAULT_LIMITS,
     NormalFormResult,
@@ -635,10 +635,11 @@ def test_building_a_cone_mutates_no_element(monkeypatch):
 
     monkeypatch.setattr(standard_basis, "_complete", recording)
     echelon = IdealPresentation(2, [p("x1^2 + x1*x2 + x1^4"), p("x2^2 + x2^4")])
-    # no pure power of x1, so the completion makes the entry
-    completed = IdealPresentation(2, [p("x2^2"), p("x2^3 + x1^2*x2")])
+    # (x1 + x2^2) * (x1, x2): a curve with no monomial content, so the
+    # echelon declines and the completion makes the entry
+    completed = IdealPresentation(2, [p("x1^2 + x1*x2^2"), p("x1*x2 + x2^3")])
     for ideal, cone in ((echelon, [p("x1^2 + x1*x2"), p("x2^2")]),
-                        (completed, [p("x2^2"), p("x1^2*x2")])):
+                        (completed, [p("x1^2"), p("x1*x2")])):
         rows = ideal._entry(REV, DEFAULT_LIMITS, False)[4]
         before = [dict(row) for row in rows]
         assert tangent_cone_ideal(ideal, REV) == cone
@@ -987,7 +988,8 @@ def test_echelon_layers_are_built_once_per_order_and_top(monkeypatch):
     monkeypatch.setattr(standard_basis, "weighted_box", counting)
     standard_basis._layers.cache_clear()
     orders = [degree_order(2, FORWARD), degree_order(2, REVERSE)]
-    # zero-dimensional ideals the echelon certifies, all of top weight 4
+    # zero-dimensional ideals the echelon certifies, all of top weight 4, so
+    # truncated at 6
     ideals = [
         [p("x1^2 + x2^4"), p("x2^2 - x1^3")],
         [p("x1^3 + x1*x2^3"), p("x2^2 + x1^4"), p("x1*x2")],
@@ -1006,15 +1008,15 @@ def test_echelon_layers_are_built_once_per_order_and_top(monkeypatch):
     again = LocalOrder(PositiveLinearForm((1, 1)), FORWARD)
     _, packing, _ = standard_basis._echelon_diagram(ideals[0], again)
     assert len(built) == 3
-    cached, layers = standard_basis._layers(again, 4)
-    assert layers is standard_basis._layers(orders[0], 4)[1]
+    cached, layers = standard_basis._layers(again, 6)
+    assert layers is standard_basis._layers(orders[0], 6)[1]
     # the echelon's packing is the cached one, shared across presentations
-    assert packing is cached is standard_basis._layers(orders[0], 4)[0]
+    assert packing is cached is standard_basis._layers(orders[0], 6)[0]
     # immutable, and in the layout of the packing the echelon packed its rows on
     assert isinstance(layers, tuple) and all(isinstance(layer, tuple) for layer in layers)
     box = [again.form.weight(packing.xpart(k)) for layer in layers for k in layer]
-    assert box == sorted(box) and len(box) == 15
-    assert [len(layer) for layer in layers] == [1, 2, 3, 4, 5]
+    assert box == sorted(box) and len(box) == 28
+    assert [len(layer) for layer in layers] == [1, 2, 3, 4, 5, 6, 7]
     maxsize = standard_basis._layers.cache_info().maxsize
     assert maxsize is not None and maxsize <= 32
 
@@ -1026,7 +1028,8 @@ def test_echelon_layers_are_built_once_per_order_and_top(monkeypatch):
 )
 def test_echelon_packs_its_rows_without_homogenizing(monkeypatch, order):
     # only the graded engine homogenizes: the echelon packs each generator's
-    # stored numerators straight onto the cached packing of its (order, top)
+    # stored numerators straight onto the cached packing of its (order, T),
+    # T two past the top weight
     def refused(*args, **kwargs):
         raise AssertionError("the echelon homogenized")
 
@@ -1036,7 +1039,7 @@ def test_echelon_packs_its_rows_without_homogenizing(monkeypatch, order):
     monkeypatch.setattr(standard_basis, "_HElement", refused)
     diagram, packing, rows = standard_basis._echelon_diagram(gens, order)
     monkeypatch.undo()
-    assert packing is standard_basis._layers(order, top)[0]
+    assert packing is standard_basis._layers(order, top + 2)[0]
     assert diagram == _completed_diagram(IdealPresentation(2, gens), order)
     assert [packing.xpart(min(row)) for row in rows] == list(diagram.vertices)
 
@@ -1050,11 +1053,12 @@ def _echelon_orders(n):
     return orders
 
 
-# sha256 of the echelon's outputs over the corpus, recorded while its rows
-# still came from homogenized elements: per (ideal, order) None when it
-# declines, else the sorted vertices and each vertex row's items, so any
-# change to a pivot row's coefficients or key order changes it
-_ECHELON_OUTPUTS_SHA256 = "28c7adf69394f1661c02d6886a84895a289f21b7ddaac9e1db02a151f068fd00"
+# sha256 of the echelon's outputs over the corpus, recorded once its rows
+# were truncated two weights past the top and the monomial content divided
+# out: per (ideal, order) None when it declines, else the sorted vertices
+# and each vertex row's items, so any change to a pivot row's coefficients
+# or key order changes it
+_ECHELON_OUTPUTS_SHA256 = "d8d08be349506f29aa1b0095562eb847924be9cb928f0a4d887c7414a9de273c"
 
 
 def test_echelon_outputs_repeat_byte_for_byte_on_the_corpus():
@@ -1067,7 +1071,7 @@ def test_echelon_outputs_repeat_byte_for_byte_on_the_corpus():
                 certified += 1
                 got = (sorted(got[0].vertices), [list(row.items()) for row in got[2]])
             digest.update(repr(got).encode())
-    assert certified == 98
+    assert certified == 198
     assert digest.hexdigest() == _ECHELON_OUTPUTS_SHA256
 
 
@@ -1079,17 +1083,21 @@ def test_echelon_declines_before_building_a_row(monkeypatch):
     declined = [
         # one generator in two variables: never zero-dimensional
         IdealPresentation(2, [p("x1^2 + x2^3")]),
-        # no pure power of x2: the x2 axis lies in the zero set
-        IdealPresentation(2, [p("x1^2 + x1*x2"), p("x1^3 - x1*x2^2")]),
-        # the column count C(top + n, n) is far past the cap
+        # no pure power of x2 and no monomial content: the x2 axis lies in
+        # the zero set
+        IdealPresentation(3, [p("x1^2 + x2*x3", 3), p("x3^2 + x1*x2", 3), p("x1^3 + x2^2*x3", 3)]),
+        # the column count C(top + 2 + n, n) is far past the cap
         IdealPresentation(2, [Poly(2, {(0, 2): 1, (big, 0): 1}), Poly(2, {(big - 1, 1): 1})]),
+        # x1^big * (x1, x2): the content's weight puts the shifted keys past the cap
+        IdealPresentation(2, [Poly(2, {(big + 1, 0): 1}), Poly(2, {(big, 1): 1})]),
     ]
     monkeypatch.setattr(standard_basis, "_Packing", refused)
     for ideal in declined:
-        assert standard_basis._echelon_diagram(ideal.generators, REV) is None
+        assert standard_basis._echelon_diagram(ideal.generators, degree_order(ideal.n)) is None
     monkeypatch.undo()
     for ideal in declined:
-        assert diagram_of_ideal(ideal, REV) == _completed_diagram(ideal, REV)
+        order = degree_order(ideal.n)
+        assert diagram_of_ideal(ideal, order) == _completed_diagram(ideal, order)
 
 
 def test_positive_dimensional_ideal_falls_back():
@@ -1097,6 +1105,130 @@ def test_positive_dimensional_ideal_falls_back():
     ideal = IdealPresentation(2, [p("x1^2 - x2^2"), p("x1^3 - x1*x2^2")])
     assert standard_basis._echelon_diagram(ideal.generators, REV) is None
     assert diagram_of_ideal(ideal, REV).vertices == frozenset({(2, 0)})
+
+
+def _cone_of(engine_output):
+    """The diagram and the reduced cone basis of an engine's (diagram,
+    packing, rows, ...)."""
+    diagram, packing, rows = engine_output[:3]
+    return diagram, standard_basis._reduced_cone(packing, rows, DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("content", [(1, 0), (0, 2), (2, 1)], ids=["x1", "x2^2", "x1^2*x2"])
+def test_echelon_divides_out_the_monomial_content(content):
+    # L(x^c * J) = x^c * L(J) under a local order: the echelon runs on J and
+    # shifts its vertices and vertex rows by c, so x^c times a zero-dimensional
+    # ideal certifies, with the completion's diagram and cone
+    orders = [
+        LocalOrder(PositiveLinearForm(w), t)
+        for w in ((1, 1), (1, 2), (2, 1))
+        for t in (REVERSE, FORWARD)
+    ]
+    certified = 0
+    for ideal in corpus(n3=0) + [IdealPresentation(2, [p("x1^2 - x2^3"), p("x1*x2 + x2^4")])]:
+        shifted = [g.mul_term(1, content) for g in ideal.generators]
+        for order in orders:
+            if standard_basis._echelon_diagram(ideal.generators, order) is None:
+                continue
+            got = standard_basis._echelon_diagram(shifted, order)
+            assert got is not None, (ideal, order)
+            certified += 1
+            want = standard_basis._complete(shifted, order, DEFAULT_LIMITS, False)
+            assert _cone_of(got) == _cone_of(want), (ideal, order)
+            assert got[0].vertices == {
+                tuple(map(sum, zip(v, content))) for v in _completed_diagram(ideal, order).vertices
+            }
+            if order.form.weights == (1, 1):
+                # through the cache, from the echelon's entry and from a completed one
+                completed = IdealPresentation(2, shifted)
+                completed.completion(order, certificates=True)
+                cone = tangent_cone_ideal(IdealPresentation(2, shifted), order)
+                assert cone == tangent_cone_ideal(completed, order), (ideal, order)
+    assert certified > 50
+
+
+def _closing_degree(diagram, top):
+    """1 + the largest degree of a monomial outside the diagram: the eta at
+    which the degree-order window of a zero-dimensional ideal closes."""
+    outside = [e for e in weighted_box((1,) * diagram.n, top + 3) if not diagram.member(e)]
+    return 1 + max(map(sum, outside))
+
+
+@pytest.mark.parametrize(
+    "gens, past",
+    [
+        (["x1^2", "x2^2"], 1),
+        (["x1*x2 + x2^4", "x2^4 - x1^4"], 1),
+        (["x1^3", "x2^3"], 2),
+        (["x2^3 - x1^2*x2", "x2^3 + x1^4"], 2),
+    ],
+)
+def test_echelon_certifies_windows_past_the_top_weight(gens, past):
+    # rows truncated at T = top + 2 certify windows that close at top + 1 and
+    # top + 2; the certificate is exact for any T at or above the closing eta
+    ideal = IdealPresentation(2, [p(g) for g in gens])
+    top = max(g.total_degree() for g in ideal.generators)
+    for order in (REV, degree_order(2, FORWARD)):
+        got = standard_basis._echelon_diagram(ideal.generators, order)
+        assert got is not None
+        assert got[0] == _completed_diagram(ideal, order)
+        assert _closing_degree(got[0], top) == top + past
+        want = standard_basis._complete(ideal.generators, order, DEFAULT_LIMITS, False)
+        assert _cone_of(got) == _cone_of(want)
+
+
+def test_a_positive_dimensional_presentation_runs_no_further_echelon(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an echelon ran on a known positive-dimensional ideal")
+
+    orders = [REV, degree_order(2, FORWARD), LocalOrder(PositiveLinearForm((1, 2)), REVERSE)]
+    # a curve without monomial content, and x1 times one: each cached diagram,
+    # its content taken off, misses an axis, whatever the order
+    for gens in (["x1^2 - x2^2", "x1^3 - x1*x2^2"], ["x1^2 + x1*x2", "x1^3 - x1*x2^2"]):
+        ideal = IdealPresentation(2, [p(g) for g in gens])
+        assert standard_basis._echelon_diagram(ideal.generators, REV) is None
+        first = ideal.diagram(REV)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(standard_basis, "_echelon_diagram", refused)
+            for order in orders[1:]:
+                assert ideal.diagram(order) == _completed_diagram(ideal, order)
+        assert first == _completed_diagram(ideal, REV)
+    # x1*x2 times a zero-dimensional ideal: the cached diagram minus the
+    # content reaches both axes, so every order still tries the echelon
+    calls = []
+    real = standard_basis._echelon_diagram
+
+    def counting(*args):
+        got = real(*args)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(standard_basis, "_echelon_diagram", counting)
+    monkeypatch.setattr(standard_basis, "_complete", refused)
+    ideal = IdealPresentation(2, [p("x1^3*x2 - x1*x2^4"), p("x1^2*x2^2 + x1*x2^5")])
+    for order in orders:
+        ideal.diagram(order)
+    assert calls == [True, True, True]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_and_unit_ideals_through_diagram(n):
+    orders = [degree_order(n, REVERSE), degree_order(n, FORWARD)]
+    zero = IdealPresentation(n, [])
+    for order in orders:
+        assert zero.diagram(order).vertices == frozenset()
+    one, xs = Poly.constant(n, 1), [Poly.variable(n, i) for i in range(n)]
+    units = [
+        # a unit among n generators, one generator, and x1 times a unit
+        IdealPresentation(n, [one + xs[0]] + xs[1:]),
+        IdealPresentation(n, [one + xs[0]]),
+        IdealPresentation(n, [xs[0] * (one - xs[0])] + [xs[0] * x for x in xs]),
+    ]
+    origin, x1_exp = (0,) * n, (1,) + (0,) * (n - 1)
+    for ideal, vertex in zip(units, (origin, origin, x1_exp)):
+        for order in orders:
+            assert ideal.diagram(order).vertices == frozenset({vertex})
+            assert ideal.diagram(order) == _completed_diagram(ideal, order)
 
 
 @pytest.mark.parametrize(
