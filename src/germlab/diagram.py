@@ -38,14 +38,6 @@ def _in_lattice(exponent) -> bool:
     return True
 
 
-def _degree_weights(n: int) -> tuple:
-    """The weights of the total-degree form on n coordinates, all 1; the
-    form's ValueError when there are none."""
-    if n < 1:
-        raise ValueError("a positive linear form needs at least one weight")
-    return (1,) * n
-
-
 @dataclass(frozen=True)
 class Diagram:
     """Staircase in N^n, stored by its minimal vertex set."""
@@ -54,6 +46,8 @@ class Diagram:
     vertices: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a diagram needs at least one coordinate")
         for v in self.vertices:
             if len(v) != self.n:
                 raise ValueError(f"vertex {v} in a diagram on {self.n} coordinates")
@@ -84,7 +78,6 @@ class Diagram:
         """Largest vertex weight, by default the total degree; 0 for the
         empty diagram."""
         if form is None:
-            _degree_weights(self.n)  # refuses zero coordinates, as the form does
             return max(map(sum, self.vertices), default=0)
         _check_form(form, self.n)
         return max(map(form.weight, self.vertices), default=0)
@@ -179,7 +172,7 @@ def hilbert_samuel(d: Diagram, eta_max: int) -> HilbertSamuelTable:
     """
     if eta_max < 0:
         raise ValueError("eta_max must be >= 0")
-    hist = _complement_histogram(d, _degree_weights(d.n), eta_max)
+    hist = _complement_histogram(d, (1,) * d.n, eta_max)
     return HilbertSamuelTable(tuple(accumulate(hist)))
 
 

@@ -57,7 +57,7 @@ class Poly:
     """Polynomial in ``n`` variables, stored as {exponent tuple: int} over
     one denominator."""
 
-    __slots__ = ("n", "_den", "_num", "_hash")
+    __slots__ = ("n", "_den", "_num")
 
     def __init__(self, n: int, terms=None):
         if n < 1:
@@ -187,12 +187,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # first call: the slot starts unset
-            h = hash((self.n, self._den, frozenset(self._num.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -43,8 +43,9 @@ Diagrams of zero-dimensional ideals, and of monomials times them, need no
 completion: the same kernel top-reduces a truncated Macaulay matrix of the
 ideal with its monomial content divided out, with t = 0, until its pivots
 cover a window of weights, and the minimal pivots, shifted back, are the
-diagram; its
-rows are packed from the stored numerators, so only the graded engine
+diagram.  The matrix, its box and its column cap are those of the
+quotient alone, the content entering only in that shift; its rows are
+packed from the stored numerators, so only the graded engine
 homogenizes.
 Both engines give the cache (diagram, packing, rows), one row per vertex,
 whose lowest-weight parts, reduced against each other, are the reduced
@@ -64,7 +65,7 @@ from operator import add, mul
 
 from .diagram import Diagram, vertices_from_exponents
 from .errors import DimensionMismatchError, ResourceLimitError, ZeroPolynomialError
-from .orders import REVERSE, LocalOrder, exp_max, exp_sub, weighted_box
+from .orders import REVERSE, LocalOrder, exp_add, exp_max, exp_sub, weighted_box
 from .poly import Poly, _integral, _mul_into, _over, _products, initial_term
 
 
@@ -332,62 +333,48 @@ def becker_check(
     return BeckerResult(True, reps)
 
 
+@dataclass(frozen=True)
 class CompletionResult:
     """Completed basis plus, per element, its combination over the original
     generators (an exact polynomial identity, re-expandable in tests).
     Certificates are None when the completion ran in verdict-only mode.
 
     ``CompletionResult(basis, certificates)`` holds both as given.  A result
-    made by the presentation cache holds the graded elements instead (or,
-    when an echelon certified the entry's diagram, only the generators) and
-    builds basis and certificates on the first read of either, once, under
-    the presentation's lock, completing first if no completion ran yet; a
-    build that raises is retried on the next read.  Equality and repr read
-    both, so they build too.
+    made by the presentation cache starts with neither field set and a
+    pending build that holds the graded elements (or, when an echelon
+    certified the entry's diagram, only the generators); the first read of
+    either field runs it, once, under the presentation's lock, completing
+    first if no completion ran yet, and drops it.  A build that raises
+    leaves the fields unset, so the next read retries.  Equality and repr
+    read both fields, so they build too.
     """
 
-    __slots__ = ("_basis", "_certificates", "_build", "_lock", "__weakref__")
+    basis: tuple
+    certificates: tuple | None  # certificates[k][i] multiplies generator i
 
-    def __init__(self, basis: tuple, certificates: tuple | None):
-        self._basis = basis
-        self._certificates = certificates  # certificates[k][i] multiplies generator i
-        self._build = None
+    __hash__ = None
 
     @classmethod
     def _deferred(cls, build, lock) -> "CompletionResult":
         """A result whose (basis, certificates) is ``build()``, run on first read."""
-        result = cls(None, None)
-        result._build = build
-        result._lock = lock
+        result = cls.__new__(cls)
+        object.__setattr__(result, "_build", (build, lock))
         return result
 
-    def _force(self):
-        with self._lock:
-            if self._build is not None:
-                self._basis, self._certificates = self._build()
-                self._build = None
-
-    @property
-    def basis(self) -> tuple:
-        if self._build is not None:
-            self._force()
-        return self._basis
-
-    @property
-    def certificates(self) -> tuple | None:
-        if self._build is not None:
-            self._force()
-        return self._certificates
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.basis, self.certificates) == (other.basis, other.certificates)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"CompletionResult(basis={self.basis!r}, certificates={self.certificates!r})"
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: a field not built yet
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(name)
+        pending = vars(self).get("_build")
+        if pending is not None:
+            build, lock = pending
+            with lock:
+                if "_build" in vars(self):
+                    basis, certificates = build()
+                    object.__setattr__(self, "basis", basis)
+                    object.__setattr__(self, "certificates", certificates)
+                    object.__delattr__(self, "_build")
+        return object.__getattribute__(self, name)
 
 
 class IdealPresentation:
@@ -626,12 +613,6 @@ class _HElement:
         self.cof = cof
 
 
-def _term_weights(polys, order: LocalOrder) -> list:
-    """Per polynomial, the weight of each term, in the order of its terms."""
-    weights = order.form.weights
-    return [[sum(map(mul, weights, e)) for e in f.exponents()] for f in polys]
-
-
 def _homogenize(polys, order: LocalOrder):
     """Weighted homogenization of nonzero polynomials into packed elements,
     for the graded engine: Mora division, Becker's check and ``_complete``.
@@ -641,13 +622,13 @@ def _homogenize(polys, order: LocalOrder):
     element's poly equals f_hom / c and its cofactor is the unit e_k / c.
     c is the pair (num, den): den f's stored denominator, the lcm of its
     coefficients' denominators, and num the gcd of its stored numerators
-    (``_integral``).  Each term's weight, computed once by
-    ``_term_weights``, gives the top weight and the term's t-exponent, top
-    minus it, and since t is the lowest field the term's key is its packed
-    x-part plus that exponent.
+    (``_integral``).  Each term's weight, computed once, gives the top
+    weight and the term's t-exponent, top minus it, and since t is the
+    lowest field the term's key is its packed x-part plus that exponent.
     Returns (packing, elements, contents), the packing sized for the top weights.
     """
-    weighed = _term_weights(polys, order)
+    weights = order.form.weights
+    weighed = [[sum(map(mul, weights, e)) for e in f.exponents()] for f in polys]
     tops = list(map(max, weighed))
     packing = _Packing(order, max(tops, default=0))
     pack = packing.pack
@@ -1067,14 +1048,16 @@ _ECHELON_COLUMNS = 2000
 @lru_cache(maxsize=32)
 def _layers(order: LocalOrder, top: int) -> tuple:
     """(packing, layers): the one ``_Packing(order, top)``, shared by every
-    presentation's echelon, cache entry and cone (nothing writes to a
-    packing; ``_fit`` makes a new one), and the packed monomials of each
-    weight 0..top on it at t = 0, as immutable tuples in ``weighted_box``
-    order, so x_1 is outermost; a key's top field is its weight, its layer.
-    The echelon asks for top = T + weight(c).  A seed-1 benchmark pass
-    read 14 distinct keys (2,986 hits) on corpus-verify, 13 (3,187) on
-    perturbed-swell and 19 (1,742) on job-suite; the bound of 32 holds
-    them and keeps many top weights from pinning their boxes."""
+    presentation's echelon on an ideal without monomial content, and by its
+    cache entry and cone (nothing writes to a packing; ``_fit`` makes a new
+    one), and the packed monomials of each weight 0..top on it at t = 0, as
+    immutable tuples in ``weighted_box`` order, so x_1 is outermost; a
+    key's top field is its weight, its layer.  The echelon asks for J's
+    truncation T; an entry with content x^c gets its own
+    ``_Packing(order, T + weight(c))`` for its shifted rows.  A seed-1
+    benchmark pass read 23 distinct keys (2,977 hits) on corpus-verify, 14
+    (3,186) on perturbed-swell and 20 (1,741) on job-suite; the bound of 32
+    holds them and keeps many top weights from pinning their boxes."""
     packing = _Packing(order, top)
     layers = [[] for _ in range(top + 1)]
     for e in weighted_box(order.form.weights, top):
@@ -1110,7 +1093,9 @@ def _echelon_diagram(generators, order: LocalOrder):
     order is multiplicative, so L(x^c * J) = x^c * L(J): the echelon runs on
     the generators divided by x^c, and J's vertices and vertex rows are
     shifted by c at the end.  On two variables every input without a pure
-    power of some variable has such a factor.
+    power of some variable has such a factor.  The matrix is J's alone: its
+    box, column cap and layers never see x^c, so a content of any weight
+    costs only the final shift.
 
     The rows are the multiples x^a * g of J's content-stripped stored
     numerators (``_integral``), every term of weight above the truncation
@@ -1141,18 +1126,19 @@ def _echelon_diagram(generators, order: LocalOrder):
     checked as soon as its batch is in.  The echelon is tried only when J
     can be zero-dimensional, with at least n generators and a pure power
     of every variable (a constant counts for all) among their terms, and
-    only when the number of monomials of weight at most T + weight(c),
-    bounded by C(T + weight(c) + n, n), is at most ``_ECHELON_COLUMNS``,
-    checked before anything is built.  An input whose window is not
-    covered by T also gives None.  The columns are the layers of
-    ``_layers(order, T + weight(c))``, whose packing holds the shifted
-    keys, so rows of one batch enter with x_1 outermost.
+    only when the number of monomials of weight at most T, bounded by
+    C(T + n, n), is at most ``_ECHELON_COLUMNS``, checked before anything
+    is built.  An input whose window is not covered by T also gives None.
+    The columns are the layers of ``_layers(order, T)``, so rows of one
+    batch enter with x_1 outermost.
 
-    ``rows`` are the pivot rows whose leads are the vertices, times x^c,
-    as packed integer dicts of ``packing``, ``_layers``' own.  Each is the
-    truncation above T + weight(c) of an element of the ideal whose lead
-    is its own, so the row's lowest-weight part is that element's initial
-    form, as ``_reduced_cone`` needs.
+    The vertices are J's corners shifted by c, and ``rows`` holds, in the
+    diagram's vertex order, the pivot row of each vertex minus c, times
+    x^c, as packed integer dicts of ``packing``: ``_layers``' own when c is
+    the origin, else ``_Packing(order, T + weight(c))``, which holds the
+    shifted keys.  Each row is the truncation above T + weight(c) of an
+    element of the ideal whose lead is its own, so the row's lowest-weight
+    part is that element's initial form, as ``_reduced_cone`` needs.
     """
     n = order.n
     if len(generators) < n:
@@ -1163,23 +1149,21 @@ def _echelon_diagram(generators, order: LocalOrder):
         stored = [{exp_sub(e, c): v for e, v in terms.items()} for terms in stored]
     if not _reaches_every_axis(chain.from_iterable(stored), n):
         return None
-    weighed = _term_weights(generators, order)
-    wc = sum(map(mul, order.form.weights, c))
-    top = max(map(max, weighed)) - wc + 2  # T, two past J's largest top weight
-    if comb(top + wc + n, n) > _ECHELON_COLUMNS:
+    weights = order.form.weights
+    weighed = [[sum(map(mul, weights, e)) for e in terms] for terms in stored]
+    top = max(map(max, weighed)) + 2  # T, two past J's largest top weight
+    if comb(top + n, n) > _ECHELON_COLUMNS:
         return None
-    packing, layers = _layers(order, top + wc)
+    packing, layers = _layers(order, top)
     pack, mask, wshift = packing.pack, packing.max_grade, packing.wshift
     gens = []
     for terms, ws in zip(stored, weighed):
         num = gcd(*terms.values())
-        gens.append(
-            (min(ws) - wc, [(pack(e), w - wc, v // num) for (e, v), w in zip(terms.items(), ws)])
-        )
+        gens.append((min(ws), [(pack(e), w, v // num) for (e, v), w in zip(terms.items(), ws)]))
 
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight
-    span = max(order.form.weights)
+    span = max(weights)
     for eta in range(top + 1):
         for low, terms in gens:
             if low > eta:
@@ -1207,11 +1191,13 @@ def _echelon_diagram(generators, order: LocalOrder):
                         break
                 else:
                     corners.append(k)
-            xc = pack(c)
-            diagram = vertices_from_exponents([packing.xpart(k + xc) for k in corners], n)
-            rows = [pivots[pack(v) - xc] for v in diagram.vertices]
-            if xc:
-                rows = [{k + xc: v for k, v in row.items()} for row in rows]
+            xpart = packing.xpart
+            diagram = vertices_from_exponents([exp_add(xpart(k), c) for k in corners], n)
+            rows = [pivots[pack(exp_sub(v, c))] for v in diagram.vertices]
+            if any(c):
+                packing = _Packing(order, top + sum(map(mul, weights, c)))
+                xc = packing.pack(c)
+                rows = [{packing.pack(xpart(k)) + xc: v for k, v in row.items()} for row in rows]
             return diagram, packing, rows
     return None
 

@@ -293,16 +293,15 @@ def test_size_and_sign_mismatches_are_refused(call, error):
 
 def test_total_degree_defaults_read_the_unit_weights():
     # max_vertex_weight() and hilbert_samuel build no form: they agree with
-    # the total-degree form and, as it does, refuse zero coordinates
+    # the total-degree form; a diagram, as the form, refuses zero coordinates
     d = Diagram(3, {(2, 0, 1), (0, 4, 0), (1, 1, 1)})
     assert d.max_vertex_weight() == d.max_vertex_weight(degree_form(3)) == 4
     assert hilbert_samuel(d, 6).to_list() == [
         complement_count(d, degree_form(3), eta) for eta in range(7)
     ]
     assert Diagram(2).max_vertex_weight() == 0
-    for call in (Diagram(0).max_vertex_weight, lambda: hilbert_samuel(Diagram(0), 2)):
-        with pytest.raises(ValueError, match="at least one weight"):
-            call()
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Diagram(0)
 
 
 def test_exponents_off_the_lattice_are_refused():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -753,16 +754,32 @@ def test_diagram_path_builds_no_basis(monkeypatch):
     assert _reexpands(rich, gens)
 
 
-def test_completion_result_keeps_its_value_semantics():
+def test_completion_result_keeps_its_value_semantics(monkeypatch):
+    assert dataclasses.is_dataclass(standard_basis.CompletionResult)
     gens = [p("x1^2 - x2^3"), p("x1*x2 + x2^4")]
     deferred = IdealPresentation(2, gens).completion(REV)
     plain = standard_basis.CompletionResult(deferred.basis, deferred.certificates)
+    # the first read dropped the pending build and the graded elements it held
+    assert "_build" not in vars(deferred)
     assert deferred == plain and not deferred != plain
     assert repr(deferred) == repr(plain)
     assert repr(plain).startswith("CompletionResult(basis=(")
     assert deferred != standard_basis.CompletionResult(deferred.basis, None)
     with pytest.raises(TypeError):
         hash(plain)
+    # comparing a result no one has read yet builds it, once
+    built = []
+    real_result = standard_basis._completion_result
+
+    def counting_result(*args):
+        built.append(args[4])
+        return real_result(*args)
+
+    monkeypatch.setattr(standard_basis, "_completion_result", counting_result)
+    unread = IdealPresentation(2, gens).completion(REV)
+    assert "_build" in vars(unread)
+    assert unread == plain and repr(unread) == repr(plain)
+    assert built == [True] and "_build" not in vars(unread)
 
 
 def test_concurrent_first_reads_complete_and_build_once(monkeypatch):
@@ -1088,8 +1105,6 @@ def test_echelon_declines_before_building_a_row(monkeypatch):
         IdealPresentation(3, [p("x1^2 + x2*x3", 3), p("x3^2 + x1*x2", 3), p("x1^3 + x2^2*x3", 3)]),
         # the column count C(top + 2 + n, n) is far past the cap
         IdealPresentation(2, [Poly(2, {(0, 2): 1, (big, 0): 1}), Poly(2, {(big - 1, 1): 1})]),
-        # x1^big * (x1, x2): the content's weight puts the shifted keys past the cap
-        IdealPresentation(2, [Poly(2, {(big + 1, 0): 1}), Poly(2, {(big, 1): 1})]),
     ]
     monkeypatch.setattr(standard_basis, "_Packing", refused)
     for ideal in declined:
@@ -1098,6 +1113,43 @@ def test_echelon_declines_before_building_a_row(monkeypatch):
     for ideal in declined:
         order = degree_order(ideal.n)
         assert diagram_of_ideal(ideal, order) == _completed_diagram(ideal, order)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [REV, degree_order(2, FORWARD), LocalOrder(PositiveLinearForm((1, 2)))],
+    ids=["degree-reverse", "degree-forward", "weights-1-2"],
+)
+def test_echelon_box_is_the_quotients_own(monkeypatch, order):
+    # the box, the column cap and the layers are those of J = I / x^c: x^c
+    # enters only when the vertices and vertex rows are shifted, so a content
+    # of any weight certifies when J's matrix is small
+    boxes = []
+    real = standard_basis.weighted_box
+
+    def recording(weights, top):
+        boxes.append(top)
+        return real(weights, top)
+
+    monkeypatch.setattr(standard_basis, "weighted_box", recording)
+    standard_basis._layers.cache_clear()
+    plain = [p("x1"), p("x2")]
+    cases = [(59, plain), (59, [p("x2^2 + x1^2"), p("x2^3 - 2*x1^3")])]
+    if order == REV:
+        cases.append((2**40, plain))
+    tops = set()
+    for e, quotient in cases:
+        gens = [g.mul_term(1, (e, 0)) for g in quotient]
+        tops.add(max(order.form.weight(m) for g in quotient for m in g.exponents()) + 2)
+        got = standard_basis._echelon_diagram(gens, order)
+        assert got is not None, gens
+        want = standard_basis._complete(gens, order, DEFAULT_LIMITS, False)
+        assert got[0] == want[0], gens
+        if order.form.weights == (1, 1):
+            assert _cone_of(got) == _cone_of(want), gens
+    # only J's T reaches the box, once per T: 3 for J = (x1, x2) under the
+    # degree order, never T + weight(c)
+    assert sorted(boxes) == sorted(tops)
 
 
 def test_positive_dimensional_ideal_falls_back():
