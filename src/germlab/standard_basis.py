@@ -1122,8 +1122,14 @@ def _echelon_diagram(generators, order: LocalOrder):
     windows that close just past the top weight certify too.  The rows
     enter in batches by the weight of their initial term, weight(a) plus
     the order of g.  A row's lead only climbs, so the pivots of weight at
-    most eta all come from the batches up to eta, and the window of eta is
-    checked as soon as its batch is in.  The echelon is tried only when J
+    most eta all come from the batches up to eta.  The window of eta is
+    checked before batch eta is built, since earlier rows may have filled
+    weight eta, and after each row of the batch that lands a pivot of
+    weight eta; once it closes, nothing more is built.  That stops at the
+    same eta with the same pivots up to eta as a check after each whole
+    batch: pivots of weight below eta are final once their batches are
+    done, a batch-eta row leads at weight eta or above, and a pivot row is
+    never rewritten after it is stored.  The echelon is tried only when J
     can be zero-dimensional, with at least n generators and a pure power
     of every variable (a constant counts for all) among their terms, and
     only when the number of monomials of weight at most T, bounded by
@@ -1161,10 +1167,51 @@ def _echelon_diagram(generators, order: LocalOrder):
         num = gcd(*terms.values())
         gens.append((min(ws), [(pack(e), w, v // num) for (e, v), w in zip(terms.items(), ws)]))
 
+    closed = _closing_pivots(gens, layers, wshift, max(weights))
+    if closed is None:
+        return None
+    eta, pivots = closed
+    below = list(zip(packing.shifts, packing.mults))
+    corners = []
+    for k in pivots:
+        if k >> wshift > eta:
+            continue
+        for s, m in below:
+            if (k >> s) & mask and k - m in pivots:
+                break
+        else:
+            corners.append(k)
+    xpart = packing.xpart
+    diagram = vertices_from_exponents([exp_add(xpart(k), c) for k in corners], n)
+    rows = [pivots[pack(exp_sub(v, c))] for v in diagram.vertices]
+    if any(c):
+        packing = _Packing(order, top + sum(map(mul, weights, c)))
+        xc = packing.pack(c)
+        rows = [{packing.pack(xpart(k)) + xc: v for k, v in row.items()} for row in rows]
+    return diagram, packing, rows
+
+
+def _closing_pivots(gens, layers, wshift: int, span: int):
+    """(eta, pivots) at the first weight eta whose window (eta - span, eta]
+    is all pivots, or None when no window up to the truncation closes.
+
+    ``gens`` holds (order, packed terms) per generator and ``layers`` the
+    packed monomials per weight, as ``_echelon_diagram`` builds them: the
+    rows of batch eta are the multiples from layer eta - order, top-reduced
+    against the pivot rows and stored where they land.  The window is
+    checked at the two points where it can first close, before batch eta
+    and after each pivot of weight eta (see ``_echelon_diagram``).
+    """
+    top = len(layers) - 1
     pivots: dict = {}
     found = [0] * (top + 1)  # pivots per weight
-    span = max(weights)
-    for eta in range(top + 1):
+    for eta, layer in enumerate(layers):
+        # no row of batch eta leads below eta, so the window closes when
+        # weight eta fills, provided the weights below it are full already
+        lower = range(max(0, eta - span + 1), eta)
+        need = len(layer) if all(found[w] == len(layers[w]) for w in lower) else None
+        if found[eta] == need:
+            return eta, pivots
         for low, terms in gens:
             if low > eta:
                 continue
@@ -1176,29 +1223,12 @@ def _echelon_diagram(generators, order: LocalOrder):
                     pivot = pivots.get(lead)
                     if pivot is None:
                         pivots[lead] = row
-                        found[lead >> wshift] += 1
+                        w = lead >> wshift
+                        found[w] += 1
+                        if w == eta and found[w] == need:
+                            return eta, pivots
                         break
                     _submul(row, pivot[lead], row[lead], 0, pivot)
-        window = range(max(0, eta - span + 1), eta + 1)
-        if all(found[w] == len(layers[w]) for w in window):
-            below = list(zip(packing.shifts, packing.mults))
-            corners = []
-            for k in pivots:
-                if k >> wshift > eta:
-                    continue
-                for s, m in below:
-                    if (k >> s) & mask and k - m in pivots:
-                        break
-                else:
-                    corners.append(k)
-            xpart = packing.xpart
-            diagram = vertices_from_exponents([exp_add(xpart(k), c) for k in corners], n)
-            rows = [pivots[pack(exp_sub(v, c))] for v in diagram.vertices]
-            if any(c):
-                packing = _Packing(order, top + sum(map(mul, weights, c)))
-                xc = packing.pack(c)
-                rows = [{packing.pack(xpart(k)) + xc: v for k, v in row.items()} for row in rows]
-            return diagram, packing, rows
     return None
 
 

@@ -1199,11 +1199,14 @@ def test_echelon_divides_out_the_monomial_content(content):
     assert certified > 50
 
 
-def _closing_degree(diagram, top):
-    """1 + the largest degree of a monomial outside the diagram: the eta at
-    which the degree-order window of a zero-dimensional ideal closes."""
-    outside = [e for e in weighted_box((1,) * diagram.n, top + 3) if not diagram.member(e)]
-    return 1 + max(map(sum, outside))
+def _closing_weight(diagram, order):
+    """The first eta whose window (eta - w, eta] lies in the diagram of a
+    zero-dimensional ideal, w the largest variable weight: the largest
+    weight of a monomial outside the diagram, plus w.  The outside lies
+    below the pure-power vertices, so below their weight sum."""
+    weigh = order.form.weight
+    box = weighted_box(order.form.weights, sum(map(weigh, diagram.vertices)))
+    return max(weigh(e) for e in box if not diagram.member(e)) + max(order.form.weights)
 
 
 @pytest.mark.parametrize(
@@ -1224,9 +1227,157 @@ def test_echelon_certifies_windows_past_the_top_weight(gens, past):
         got = standard_basis._echelon_diagram(ideal.generators, order)
         assert got is not None
         assert got[0] == _completed_diagram(ideal, order)
-        assert _closing_degree(got[0], top) == top + past
+        assert _closing_weight(got[0], order) == top + past
         want = standard_basis._complete(ideal.generators, order, DEFAULT_LIMITS, False)
         assert _cone_of(got) == _cone_of(want)
+
+
+def _batch_complete_pivots(gens, layers, wshift, span):
+    """The reference for ``_closing_pivots``: every batch of rows is built in
+    full, and the window of eta is checked only after batch eta is in."""
+    top = len(layers) - 1
+    pivots = {}
+    found = [0] * (top + 1)
+    for eta in range(top + 1):
+        for low, terms in gens:
+            if low > eta:
+                continue
+            room = top - (eta - low)
+            for shift in layers[eta - low]:
+                row = {shift + k: v for k, w, v in terms if w <= room}
+                while row:
+                    lead = min(row)
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        pivots[lead] = row
+                        found[lead >> wshift] += 1
+                        break
+                    standard_basis._submul(row, pivot[lead], row[lead], 0, pivot)
+        window = range(max(0, eta - span + 1), eta + 1)
+        if all(found[w] == len(layers[w]) for w in window):
+            return eta, pivots
+    return None
+
+
+@pytest.mark.parametrize(
+    "gens, order, steps",
+    [
+        (["x1^2 - x2^3", "x1*x2"], REV, 1),
+        (["x2^3 - x1^2*x2", "x2^3 + x1^4"], REV, 2),
+        (["x2^3 - x1^2*x2", "x2^3 + x1^4"], degree_order(2, FORWARD), 13),
+        (["x1^2 - x2^3", "x1*x2"], LocalOrder(PositiveLinearForm((1, 2)), REVERSE), 6),
+    ],
+    ids=["readme-reverse", "late-reverse", "late-forward", "readme-weights-1-2"],
+)
+def test_echelon_stops_when_its_window_closes(monkeypatch, gens, order, steps):
+    # the row that fills the window is the last one reduced: checked only
+    # after each whole batch, these took 3, 6, 18 and 9 reduction steps
+    calls = []
+    real = standard_basis._submul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    ideal = IdealPresentation(2, [p(g) for g in gens])
+    monkeypatch.setattr(standard_basis, "_submul", counting)
+    got = standard_basis._echelon_diagram(ideal.generators, order)
+    monkeypatch.undo()
+    assert len(calls) == steps
+    assert got[0] == _completed_diagram(ideal, order)
+
+
+def test_echelon_window_can_close_before_its_batch_builds_a_row(monkeypatch):
+    # corpus ideal #45 under weights (1, 2): rows of the batches up to 8 fill
+    # every monomial of weight 9 as well, so the window (7, 9] is closed
+    # before batch 9 is built, and none of its rows is
+    ideal = corpus(n2=46, n3=0)[45]
+    order = LocalOrder(PositiveLinearForm((1, 2)), REVERSE)
+    lows = [g.min_total_degree() for g in ideal.generators]
+    assert lows == [2, 2] and not any(standard_basis._content(ideal.generators, 2))
+    iterated = []
+    real = standard_basis._layers
+
+    def recording(order, top):
+        packing, layers = real(order, top)
+
+        class Layer(tuple):
+            def __iter__(self):
+                iterated.append(layers.index(self))
+                return super().__iter__()
+
+        return packing, tuple(map(Layer, layers))
+
+    def batches(last):
+        """The layers batches 0..last iterate, in the loop's order."""
+        return [eta - low for eta in range(last + 1) for low in lows if low <= eta]
+
+    monkeypatch.setattr(standard_basis, "_layers", recording)
+    got = standard_basis._echelon_diagram(ideal.generators, order)
+    assert got[0] == _completed_diagram(ideal, order)
+    assert _closing_weight(got[0], order) == 9
+    assert iterated == batches(8)
+    # the batch-complete loop builds batch 9 before it looks
+    iterated.clear()
+    monkeypatch.setattr(standard_basis, "_closing_pivots", _batch_complete_pivots)
+    standard_basis._echelon_diagram(ideal.generators, order)
+    assert iterated == batches(9)
+
+
+def _closure_inputs(n, count):
+    """Seeded generator lists: most carry a pure power of each variable, a
+    quarter a monomial content, and some are left to decline."""
+    rng = make_rng("echelon-closure", n)
+    out = []
+    for _ in range(count):
+        gens = [random_poly(rng, n, min_term_degree=1) for _ in range(rng.randint(n - 1, n + 1))]
+        for i in range(n):
+            if rng.random() < 0.85:
+                k = rng.randrange(len(gens))
+                power = tuple(rng.randint(1, 5) if j == i else 0 for j in range(n))
+                gens[k] = gens[k] + Poly(n, {power: rng.choice([-2, -1, 1, 3])})
+        gens = [g for g in gens if not g.is_zero]
+        if rng.random() < 0.25:
+            content = tuple(rng.randint(0, 2) for _ in range(n))
+            gens = [g.mul_term(1, content) for g in gens]
+        out.append(gens)
+    return out
+
+
+def test_echelon_matches_the_batch_complete_loop(monkeypatch):
+    # the same first closing eta, so the same diagram, vertex order, packing
+    # and vertex rows, key order included, as when the window was checked
+    # only after whole batches
+    orders = {
+        2: [
+            LocalOrder(PositiveLinearForm(w), t)
+            for w in ((1, 1), (1, 2), (2, 1), (2, 3))
+            for t in (REVERSE, FORWARD)
+        ],
+        3: [
+            LocalOrder(PositiveLinearForm(w), t)
+            for w in ((1, 1, 1), (1, 2, 1), (2, 3, 1))
+            for t in (REVERSE, FORWARD)
+        ],
+    }
+    certified = declined = content = 0
+    for n, count in ((2, 60), (3, 20)):
+        for gens in _closure_inputs(n, count):
+            for order in orders[n]:
+                got = standard_basis._echelon_diagram(gens, order)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(standard_basis, "_closing_pivots", _batch_complete_pivots)
+                    want = standard_basis._echelon_diagram(gens, order)
+                assert (got is None) == (want is None), (gens, order)
+                if got is None:
+                    declined += 1
+                    continue
+                certified += 1
+                content += any(standard_basis._content(gens, n))
+                assert list(got[0].vertices) == list(want[0].vertices), (gens, order)
+                assert (got[1].bits, got[1].order) == (want[1].bits, want[1].order)
+                assert [list(r.items()) for r in got[2]] == [list(r.items()) for r in want[2]]
+    assert certified > 200 and declined > 50 and content > 30
 
 
 def test_a_positive_dimensional_presentation_runs_no_further_echelon(monkeypatch):
