@@ -118,6 +118,8 @@ class HilbertSamuelTable:
         object.__setattr__(self, "values", values)
 
     def __getitem__(self, eta: int) -> int:
+        if eta < 0:
+            raise IndexError(f"eta {eta} is negative")
         return self.values[eta]
 
     def to_list(self):

@@ -44,11 +44,12 @@ def _pair(c) -> tuple:
 
 
 def _exponent(exp, n: int) -> tuple:
-    """exp as a tuple, checked to be n non-negative ints."""
+    """exp as a tuple, checked to be n non-negative ints (of type int
+    itself, so a bool is not one)."""
     exp = tuple(exp)
     if len(exp) != n:
         raise DimensionMismatchError(f"exponent {exp} in a polynomial on {n} variables")
-    if any(not isinstance(b, int) or b < 0 for b in exp):
+    if any(type(b) is not int or b < 0 for b in exp):
         raise ValueError(f"exponents must be non-negative ints: {exp}")
     return exp
 

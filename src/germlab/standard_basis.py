@@ -895,7 +895,7 @@ def _complete(
     first, then the local order on the x-part).  Initial exponents survive
     evaluating the grading variable back at 1, which makes the dehomogenized
     set a standard basis for the local order.  Pairs are processed by
-    smallest lcm weight first, ties by pair index, so output is a
+    smallest lcm weight first, ties in creation order, so output is a
     deterministic function of (generators, order).  Each s-pair reduces
     against the active elements, those whose leads no later lead divides,
     in the order they became active: ``active`` is the reducer set.
@@ -914,14 +914,13 @@ def _complete(
 
     packing, basis, _ = _homogenize(generators, order)
 
-    pairs: dict = {}  # (i, j) -> (lcm grade, creation counter, packed lcm)
-    counter = 0
+    pairs: dict = {}  # (i, j) -> (lcm grade, packed lcm), in creation order
     active = []  # indices whose leads are not divisible by a later lead
 
     def push_pairs(new_index):
         """Becker-Weispfenning update: Gebauer-Moeller pruning of the pair
         set plus deletion of elements dominated by the new lead."""
-        nonlocal counter, packing
+        nonlocal packing
         t = basis[new_index].lm
         # an lcm's grade is at most the sum of its two leads' grades, so with
         # the packing fitted to that bound every new pair's lcm packs
@@ -931,8 +930,8 @@ def _complete(
         if wide is not packing:
             pairs.update(
                 {
-                    ab: (g, c, wide.pack(packing.unpack(lab)))
-                    for ab, (g, c, lab) in pairs.items()
+                    ab: (g, wide.pack(packing.unpack(lab)))
+                    for ab, (g, lab) in pairs.items()
                 }
             )
             packing = wide
@@ -954,7 +953,7 @@ def _complete(
                 survivors.append(i)
         # chain criterion on the old pairs; lcm(a, t) divides lcm(a, b)
         # whenever t does, so it fits the packing too
-        for (a, b), (_, _, lab) in list(pairs.items()):
+        for (a, b), (_, lab) in list(pairs.items()):
             if (lab - lead) & guard:
                 continue
             if lab != packing.pack(exp_max(basis[a].lm, t)) and lab != packing.pack(
@@ -966,8 +965,7 @@ def _complete(
         for i in survivors:
             if keys[i] == basis[i].lead + lead:
                 continue
-            pairs[(i, new_index)] = (packing.grade(keys[i]), counter, keys[i])
-            counter += 1
+            pairs[(i, new_index)] = (packing.grade(keys[i]), keys[i])
         if len(pairs) > limits.max_pairs:
             raise ResourceLimitError("max_pairs", limits.max_pairs)
         # leads now divisible by the new lead retire from the active set
@@ -981,8 +979,9 @@ def _complete(
         push_pairs(k)
 
     while pairs:
-        (i, j) = min(pairs, key=lambda key: pairs[key])
-        _, _, gamma = pairs.pop((i, j))
+        # min keeps the first of equal grades, the earliest created
+        (i, j) = min(pairs, key=lambda key: pairs[key][0])
+        _, gamma = pairs.pop((i, j))
         bi, bj = basis[i], basis[j]
         sp, a, b, c = _spair(bi, bj, gamma)
         sp, steps = _hreduce(sp, [basis[k] for k in active], packing, limits)

@@ -158,19 +158,32 @@ def test_determinacy_order_job(tmp_path):
 
 
 def test_std_basis_and_roundtrip(tmp_path):
-    from germlab import parse_poly
+    from germlab import Poly, parse_poly
 
-    path = write_job(
-        tmp_path / "basis.json",
-        **base_job(ideal=["x1^2-x2^3", "x1*x2"], command="std-basis"),
+    readme = base_job(ideal=["x1^2-x2^3", "x1*x2"], command="std-basis")
+    # rational content under weights (1, 2): the integer contents and each
+    # certificate's start run under a weighted order
+    weighted = base_job(
+        ordering={"weights": [1, 2], "tiebreak": "reverse"},
+        ideal=["1/2*x1^2 + x2^3", "2/3*x1*x2 - 5/7*x2^2"],
+        command="std-basis",
     )
-    report, code = run_job(path)
-    assert code == 0
-    basis = report["result"]["basis"]
-    assert basis == ["x1^2 - x2^3", "x1*x2", "x2^4"]
-    for text in basis:
-        parse_poly(text, 2)  # report polynomials re-parse
-    assert len(report["result"]["certificates"]) == len(basis)
+    bases = []
+    for job in (readme, weighted):
+        report, code = run_job(write_job(tmp_path / "basis.json", **job))
+        assert code == 0
+        gens = [parse_poly(g, 2) for g in job["ideal"]]
+        basis, certs = report["result"]["basis"], report["result"]["certificates"]
+        # report polynomials re-parse, and each certificate re-expands to its
+        # basis element
+        for b, cert in zip(basis, certs, strict=True):
+            total = Poly.zero(2)
+            for c, g in zip(cert, gens, strict=True):
+                total = total + parse_poly(c, 2) * g
+            assert total == parse_poly(b, 2), (b, cert)
+        bases.append(basis)
+    assert bases[0] == ["x1^2 - x2^3", "x1*x2", "x2^4"]
+    assert len(bases[1]) == 5
 
 
 def test_cones_equal_job(tmp_path):
@@ -264,6 +277,10 @@ def test_oracle_check_on_1100_variables(tmp_path):
         ({"weights": [1, 1], "tiebreak": "reverse"}, ["x1^2 + x1*x2", "x2^2"], ["x1*x2 + x1^2", "x2^2"]),
         # other weights: the total-degree cone, as for hs
         ({"weights": [1, 2], "tiebreak": "reverse"}, ["x2 + x1^2", "x2"], ["x2", "x1^2"]),
+        # the reduced basis: x2^3 lies in the diagram of (x2^2), so it is reduced away
+        ({"weights": [1, 1], "tiebreak": "reverse"}, ["x2^2", "x2^3 + x1^2*x2"], ["x2^2", "x1^2*x2"]),
+        # the README's ideal
+        ({"weights": [1, 1], "tiebreak": "reverse"}, ["x1^2 - x2^3", "x1*x2"], ["x1^2", "x1*x2", "x2^4"]),
     ],
 )
 def test_tangent_cone_job_uses_the_job_tiebreak(tmp_path, ordering, ideal, generators):
@@ -273,6 +290,57 @@ def test_tangent_cone_job_uses_the_job_tiebreak(tmp_path, ordering, ideal, gener
     report, code = run_job(path)
     assert code == 0, report
     assert report["result"]["generators"] == generators
+
+
+def _holds(result, expected):
+    """Whether every field of expected, at any depth, has its value in result."""
+    if isinstance(expected, dict):
+        return all(_holds(result[key], value) for key, value in expected.items())
+    return result == expected
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        # x1*x2 times (x1, x2): the echelon divides out the monomial content
+        # and shifts the vertices back
+        ({"ideal": ["x1^2*x2", "x1*x2^2"]}, {"vertices": [[1, 2], [2, 1]]}),
+        # the witness is the Pascal matrix, and the CM scan reads the
+        # presentation the domain search built
+        (
+            {"map": ["x1 + x2"], "command": "flat-check", "parameters": {"seed": 3, "l_max": 4}},
+            {"flat": True, "cm_evidence": "certified(l=1)", "domain": {"change": [[1, 1], [1, 2]]}},
+        ),
+        # the oracle's rows are read off its weight-sorted columns, and its
+        # staircase is the engine's
+        (
+            {
+                "ordering": {"weights": [1, 2], "tiebreak": "forward"},
+                "ideal": ["x1^2 - x2^3", "x1*x2 + x2^2"],
+                "command": "oracle-check",
+                "parameters": {"eta_max": 6},
+            },
+            {"staircase_match": True},
+        ),
+        # the staircase dimension is a branch-and-bound search, not an
+        # enumeration of the C(30, 15) coordinate subsets
+        (
+            {
+                "variables": [f"x{i}" for i in range(1, 31)],
+                "ordering": {"weights": [1] * 30, "tiebreak": "reverse"},
+                "ideal": [f"x{i}" for i in range(1, 16)],
+                "command": "dim",
+                "parameters": {"seed": 1},
+            },
+            {"dimension": 15},
+        ),
+    ],
+    ids=["content-diagram", "flat-check-l-max", "weighted-oracle-check", "dim-30-variables"],
+)
+def test_job_answers(tmp_path, fields, expected):
+    report, code = run_job(write_job(tmp_path / "job.json", **base_job(**fields)))
+    assert code == 0, report
+    assert _holds(report["result"], expected), report
 
 
 def test_experiment_job(tmp_path):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -128,6 +128,25 @@ def test_hilbert_samuel_against_enumeration(n):
             assert hilbert_samuel(d, eta_max).to_list() == [
                 brute_complement(d, form, eta) for eta in range(eta_max + 1)
             ]
+
+
+def test_hilbert_samuel_on_a_path_staircase():
+    # vertices x_i * x_(i+1) for i = 1..39 in 40 variables: a monomial lies
+    # outside the staircase when no two adjacent variables divide it
+    n, eta_max = 40, 4
+    d = vertices_from_exponents(
+        [tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n - 1)], n
+    )
+    # hist[e] over the variables read so far, split by whether the last
+    # one is absent (free) or present (used) in the monomial
+    free, used = [1] + [0] * eta_max, [0] * (eta_max + 1)
+    for _ in range(n):
+        free, used = (
+            [f + u for f, u in zip(free, used)],
+            [sum(free[e - a] for a in range(1, e + 1)) for e in range(eta_max + 1)],
+        )
+    hist = [f + u for f, u in zip(free, used)]
+    assert hilbert_samuel(d, eta_max).to_list() == list(accumulate(hist))
 
 
 def test_hs_monotone():
@@ -335,6 +354,12 @@ def test_hilbert_samuel_values_are_refused_not_coerced():
     table = HilbertSamuelTable([1, 3, 4])
     assert table.values == (1, 3, 4) and table.to_list() == [1, 3, 4]
     assert table == HilbertSamuelTable((1, 3, 4))
+    # an eta outside 0..eta_max is refused at either end; [-1] used to read
+    # the last value
+    assert table[2] == 4
+    for eta in (-1, 3):
+        with pytest.raises(IndexError):
+            table[eta]
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,21 @@ def test_constructor_sums_repeated_exponents_in_order():
     assert Poly(2, [((1, 1), 2), ((0, 2), 1), ((1, 1), -2), ((0, 2), -1)]).is_zero
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Poly(2, {(True, 0): 1}), id="constructor"),
+        pytest.param(lambda: Poly.monomial(2, (0, False)), id="monomial"),
+        pytest.param(lambda: p("x1").mul_term(1, (True, 0)), id="mul_term"),
+    ],
+)
+def test_bool_exponents_are_refused(call):
+    # True is an int to isinstance: a kept (True, 0) became the initial
+    # exponent, which the diagram then refused as a vertex
+    with pytest.raises(ValueError, match="exponents must be non-negative ints"):
+        call()
+
+
 def test_initial_exponent_worked_examples():
     either = [degree_order(2, FORWARD), degree_order(2, REVERSE)]
     for order in either:
